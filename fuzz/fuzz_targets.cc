@@ -11,6 +11,7 @@
 #include "protocol/envelope.h"
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
+#include "protocol/level_hrr.h"
 #include "protocol/multidim_protocol.h"
 #include "protocol/oracle_wire.h"
 #include "protocol/tree_protocol.h"
@@ -61,13 +62,15 @@ int FuzzDecodeEnvelope(const uint8_t* data, size_t size) {
   if (protocol::ParseHrrReport(bytes, &flat)) {
     LDP_FUZZ_ASSERT(flat.sign == 1 || flat.sign == -1);
   }
-  protocol::HaarHrrReport haar;
-  if (protocol::ParseHaarHrrReport(bytes, &haar)) {
+  protocol::LevelHrrReport haar;
+  if (protocol::ParseLevelHrrReport(protocol::MechanismTag::kHaarHrr, bytes,
+                                    &haar) == ParseError::kOk) {
     LDP_FUZZ_ASSERT(haar.level >= 1);
     LDP_FUZZ_ASSERT(haar.inner.sign == 1 || haar.inner.sign == -1);
   }
-  protocol::TreeHrrReport tree;
-  if (protocol::ParseTreeHrrReport(bytes, &tree)) {
+  protocol::LevelHrrReport tree;
+  if (protocol::ParseLevelHrrReport(protocol::MechanismTag::kTreeHrr, bytes,
+                                    &tree) == ParseError::kOk) {
     LDP_FUZZ_ASSERT(tree.level >= 1);
     LDP_FUZZ_ASSERT(tree.inner.sign == 1 || tree.inner.sign == -1);
   }
@@ -81,17 +84,19 @@ int FuzzDecodeEnvelope(const uint8_t* data, size_t size) {
     }
     LDP_FUZZ_ASSERT(flat_batch.size() + malformed <= bytes.size());
   }
-  std::vector<protocol::HaarHrrReport> haar_batch;
-  if (protocol::ParseHaarHrrReportBatch(bytes, &haar_batch) ==
+  std::vector<protocol::LevelHrrReport> haar_batch;
+  if (protocol::ParseLevelHrrReportBatch(protocol::MechanismTag::kHaarHrr,
+                                         bytes, &haar_batch) ==
       ParseError::kOk) {
-    for (const protocol::HaarHrrReport& r : haar_batch) {
+    for (const protocol::LevelHrrReport& r : haar_batch) {
       LDP_FUZZ_ASSERT(r.level >= 1);
     }
   }
-  std::vector<protocol::TreeHrrReport> tree_batch;
-  if (protocol::ParseTreeHrrReportBatch(bytes, &tree_batch) ==
+  std::vector<protocol::LevelHrrReport> tree_batch;
+  if (protocol::ParseLevelHrrReportBatch(protocol::MechanismTag::kTreeHrr,
+                                         bytes, &tree_batch) ==
       ParseError::kOk) {
-    for (const protocol::TreeHrrReport& r : tree_batch) {
+    for (const protocol::LevelHrrReport& r : tree_batch) {
       LDP_FUZZ_ASSERT(r.level >= 1);
     }
   }
@@ -272,6 +277,10 @@ int FuzzAbsorb(Server& server, std::span<const uint8_t> bytes,
   server.Finalize();
   double total = server.RangeQuery(0, domain - 1);
   LDP_FUZZ_ASSERT(std::isfinite(total));
+  // Levels without reports have infinite variance; a range that does not
+  // use them must not turn that into NaN.
+  LDP_FUZZ_ASSERT(
+      !std::isnan(server.RangeQueryWithUncertainty(0, domain - 1).stddev));
   return 0;
 }
 

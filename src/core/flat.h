@@ -24,6 +24,10 @@ class FlatMechanism final : public RangeMechanism {
  public:
   FlatMechanism(uint64_t domain, double eps, OracleKind oracle);
 
+  /// The frequency oracle over the whole domain. Mutable so a wire front
+  /// end can absorb externally encoded reports and restore state into it.
+  FrequencyOracle& oracle() { return *oracle_; }
+
   uint64_t user_count() const override;
   std::string Name() const override;
   double ReportBits() const override;

@@ -19,6 +19,19 @@ HaarHrrMechanism::HaarHrrMechanism(uint64_t domain, double eps)
   }
 }
 
+HrrOracle& HaarHrrMechanism::level_oracle(uint32_t level) {
+  LDP_CHECK_GE(level, 1u);
+  LDP_CHECK_LE(level, height_);
+  return *level_oracles_[level - 1];
+}
+
+uint64_t HaarHrrMechanism::user_count() const {
+  // Each user reports at exactly one level.
+  uint64_t users = 0;
+  for (const auto& oracle : level_oracles_) users += oracle->report_count();
+  return users;
+}
+
 double HaarHrrMechanism::ReportBits() const {
   double level_id_bits = static_cast<double>(Log2Ceil(height_));
   double bits = 0.0;
@@ -34,7 +47,6 @@ void HaarHrrMechanism::EncodeUser(uint64_t value, Rng& rng) {
   uint32_t level = 1 + static_cast<uint32_t>(rng.UniformInt(height_));
   HaarUserCoefficient view = HaarUserView(value, level);
   level_oracles_[level - 1]->SubmitSignedValue(view.block, view.sign, rng);
-  ++users_;
 }
 
 void HaarHrrMechanism::EncodeUsers(std::span<const uint64_t> values,
@@ -47,7 +59,6 @@ void HaarHrrMechanism::EncodeUsers(std::span<const uint64_t> values,
     HaarUserCoefficient view = HaarUserView(value, level);
     level_oracles_[level - 1]->SubmitSignedValue(view.block, view.sign, rng);
   }
-  users_ += values.size();
 }
 
 std::unique_ptr<RangeMechanism> HaarHrrMechanism::CloneEmpty() const {
@@ -65,7 +76,6 @@ void HaarHrrMechanism::MergeFrom(const RangeMechanism& other) {
   for (size_t l = 0; l < level_oracles_.size(); ++l) {
     level_oracles_[l]->MergeFrom(*o->level_oracles_[l]);
   }
-  users_ += o->users_;
 }
 
 void HaarHrrMechanism::Finalize(Rng& rng) {
@@ -106,7 +116,9 @@ RangeEstimate HaarHrrMechanism::RangeQueryWithUncertainty(
   // Var = sum over boundary-cut coefficients of
   //   weight^2 * Var(c_hat) with Var(c_hat) = 2^-l * Var(g_hat)
   // (the level oracle estimates g; the orthonormal coefficient rescales
-  // by 2^{-l/2}). c0 is exact and contributes nothing.
+  // by 2^{-l/2}). c0 is exact and contributes nothing. A coefficient the
+  // range does not weigh adds nothing either, even from a level with no
+  // reports (whose variance is +inf: 0 * inf would be NaN).
   double variance = 0.0;
   for (uint32_t l = 1; l <= height_; ++l) {
     double coeff_var = std::exp2(-static_cast<double>(l)) *
@@ -114,10 +126,10 @@ RangeEstimate HaarHrrMechanism::RangeQueryWithUncertainty(
     uint64_t ka = a >> l;
     uint64_t kb = b >> l;
     double wa = HaarRangeWeight(l, ka, a, b);
-    variance += wa * wa * coeff_var;
+    if (wa != 0.0) variance += wa * wa * coeff_var;
     if (kb != ka) {
       double wb = HaarRangeWeight(l, kb, a, b);
-      variance += wb * wb * coeff_var;
+      if (wb != 0.0) variance += wb * wb * coeff_var;
     }
   }
   return RangeEstimate{HaarRangeEstimate(coefficients_, padded_, a, b),

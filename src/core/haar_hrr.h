@@ -38,7 +38,12 @@ class HaarHrrMechanism final : public RangeMechanism {
   uint64_t padded_domain() const { return padded_; }
   uint32_t height() const { return height_; }
 
-  uint64_t user_count() const override { return users_; }
+  /// The HRR oracle perturbing level l's coefficients (1-based). Mutable
+  /// so a wire front end can absorb externally encoded reports and
+  /// restore state into it.
+  HrrOracle& level_oracle(uint32_t level);
+
+  uint64_t user_count() const override;
   std::string Name() const override { return "HaarHRR"; }
   double ReportBits() const override;
   void EncodeUser(uint64_t value, Rng& rng) override;
@@ -60,7 +65,6 @@ class HaarHrrMechanism final : public RangeMechanism {
   // level_oracles_[l-1] perturbs the level-l coefficient vector
   // (domain D / 2^l entries, signed).
   std::vector<std::unique_ptr<HrrOracle>> level_oracles_;
-  uint64_t users_ = 0;
   bool finalized_ = false;
   HaarCoefficients coefficients_;
 };

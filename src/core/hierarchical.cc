@@ -33,6 +33,18 @@ HierarchicalMechanism::HierarchicalMechanism(uint64_t domain, double eps,
   }
 }
 
+uint64_t HierarchicalMechanism::user_count() const {
+  // Every user reports at every level under splitting, at exactly one
+  // under sampling — so the oracles' own report counts are the user
+  // count, whether reports arrive here or through level_oracle().
+  if (config_.budget == BudgetStrategy::kSplitting) {
+    return level_oracles_[0]->report_count();
+  }
+  uint64_t users = 0;
+  for (const auto& oracle : level_oracles_) users += oracle->report_count();
+  return users;
+}
+
 std::string HierarchicalMechanism::Name() const {
   std::string name = "HH";
   if (config_.consistency) name += "c";
@@ -71,7 +83,6 @@ void HierarchicalMechanism::EncodeUser(uint64_t value, Rng& rng) {
     level_oracles_[pick]->SubmitValue(shape_.NodeContaining(level, value),
                                       rng);
   }
-  ++users_;
 }
 
 void HierarchicalMechanism::EncodeUsers(std::span<const uint64_t> values,
@@ -96,7 +107,6 @@ void HierarchicalMechanism::EncodeUsers(std::span<const uint64_t> values,
                                         rng);
     }
   }
-  users_ += values.size();
 }
 
 std::unique_ptr<RangeMechanism> HierarchicalMechanism::CloneEmpty() const {
@@ -117,7 +127,6 @@ void HierarchicalMechanism::MergeFrom(const RangeMechanism& other) {
   for (size_t l = 0; l < level_oracles_.size(); ++l) {
     level_oracles_[l]->MergeFrom(*o->level_oracles_[l]);
   }
-  users_ += o->users_;
 }
 
 void HierarchicalMechanism::Finalize(Rng& rng) {
@@ -146,6 +155,12 @@ uint64_t HierarchicalMechanism::LevelReportCount(uint32_t level) const {
   LDP_CHECK_GE(level, 1u);
   LDP_CHECK_LE(level, shape_.height());
   return level_oracles_[level - 1]->report_count();
+}
+
+FrequencyOracle& HierarchicalMechanism::level_oracle(uint32_t level) {
+  LDP_CHECK_GE(level, 1u);
+  LDP_CHECK_LE(level, shape_.height());
+  return *level_oracles_[level - 1];
 }
 
 double HierarchicalMechanism::RangeQuery(uint64_t a, uint64_t b) const {

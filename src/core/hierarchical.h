@@ -62,7 +62,7 @@ class HierarchicalMechanism final : public RangeMechanism {
   const TreeShape& shape() const { return shape_; }
   bool consistency_enabled() const { return config_.consistency; }
 
-  uint64_t user_count() const override { return users_; }
+  uint64_t user_count() const override;
   std::string Name() const override;
   double ReportBits() const override;
   void EncodeUser(uint64_t value, Rng& rng) override;
@@ -81,13 +81,17 @@ class HierarchicalMechanism final : public RangeMechanism {
   /// Number of users that sampled tree level l (1-based; post-encode).
   uint64_t LevelReportCount(uint32_t level) const;
 
+  /// The frequency oracle behind tree level l (1-based). Mutable so a
+  /// wire front end can absorb externally encoded reports and restore
+  /// state into it.
+  FrequencyOracle& level_oracle(uint32_t level);
+
  private:
   HierarchicalConfig config_;
   TreeShape shape_;
   // level_oracles_[l-1] covers tree level l (domain B^l), l = 1..height.
   std::vector<std::unique_ptr<FrequencyOracle>> level_oracles_;
   std::vector<double> sampling_weights_;
-  uint64_t users_ = 0;
   bool finalized_ = false;
   // estimates_[l] = per-node fractions at depth l; estimates_[0] = {1}.
   std::vector<std::vector<double>> estimates_;

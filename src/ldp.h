@@ -43,6 +43,7 @@
 #include "protocol/envelope.h"
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
+#include "protocol/level_hrr.h"
 #include "protocol/multidim_protocol.h"
 #include "protocol/oracle_wire.h"
 #include "protocol/tree_protocol.h"

@@ -1,11 +1,8 @@
 #include "protocol/flat_protocol.h"
 
-#include <cmath>
-#include <limits>
-
 #include "common/bit_util.h"
 #include "common/check.h"
-#include "core/variance.h"
+#include "core/flat.h"
 #include "protocol/wire.h"
 
 namespace ldp::protocol {
@@ -161,23 +158,10 @@ std::vector<uint8_t> FlatHrrClient::EncodeUsersSerialized(
 }
 
 FlatHrrServer::FlatHrrServer(uint64_t domain, double eps)
-    : domain_(domain),
-      padded_(NextPowerOfTwo(domain)),
-      eps_(eps),
-      oracle_(std::make_unique<HrrOracle>(domain, eps)) {
-  LDP_CHECK_GE(domain, 2u);
-}
-
-bool FlatHrrServer::Absorb(const HrrReport& report) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  if (report.coefficient_index >= padded_ ||
-      (report.sign != 1 && report.sign != -1)) {
-    stats_.CountRejected();
-    return false;
-  }
-  oracle_->AbsorbReport(report);
-  stats_.CountAccepted();
-  return true;
+    : HrrMechanismServer(
+          std::make_unique<FlatMechanism>(domain, eps, OracleKind::kHrr),
+          /*level_count_in_state=*/false) {
+  AddLevel(static_cast<FlatMechanism&>(mutable_mechanism()).oracle());
 }
 
 bool FlatHrrServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
@@ -207,59 +191,9 @@ ParseError FlatHrrServer::DoAbsorbBatchSerialized(
       accepted);
 }
 
-void FlatHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {
-  oracle_->AppendState(out);
-}
-
-bool FlatHrrServer::RestoreStateBody(std::span<const uint8_t> body) {
-  WireReader reader(body);
-  return oracle_->RestoreState(reader) && reader.AtEnd();
-}
-
 std::unique_ptr<service::AggregatorServer> FlatHrrServer::DoCloneEmpty()
     const {
-  return std::make_unique<FlatHrrServer>(domain_, eps_);
-}
-
-service::MergeStatus FlatHrrServer::DoMergeFrom(
-    service::AggregatorServer& other) {
-  // The base validated kind + configuration, and kFlat names exactly this
-  // class, so the downcast is safe.
-  auto& o = static_cast<FlatHrrServer&>(other);
-  oracle_->MergeFrom(*o.oracle_);
-  return service::MergeStatus::kOk;
-}
-
-void FlatHrrServer::DoFinalize() {
-  frequencies_ = oracle_->EstimateFractions();
-  prefix_.assign(domain_ + 1, 0.0);
-  for (uint64_t i = 0; i < domain_; ++i) {
-    prefix_[i + 1] = prefix_[i] + frequencies_[i];
-  }
-}
-
-double FlatHrrServer::RangeQuery(uint64_t a, uint64_t b) const {
-  LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, domain_);
-  return prefix_[b + 1] - prefix_[a];
-}
-
-RangeEstimate FlatHrrServer::RangeQueryWithUncertainty(uint64_t a,
-                                                       uint64_t b) const {
-  // No accepted reports: the estimate is vacuous, its uncertainty
-  // infinite (the bounds are undefined at n = 0).
-  double variance =
-      accepted_reports() == 0
-          ? std::numeric_limits<double>::infinity()
-          : FlatRangeVarianceBound(b - a + 1, eps_,
-                                   static_cast<double>(accepted_reports()));
-  return RangeEstimate{RangeQuery(a, b), std::sqrt(variance)};
-}
-
-std::vector<double> FlatHrrServer::EstimateFrequencies() const {
-  LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  return frequencies_;
+  return std::make_unique<FlatHrrServer>(domain(), mechanism().epsilon());
 }
 
 }  // namespace ldp::protocol

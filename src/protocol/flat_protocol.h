@@ -3,7 +3,8 @@
 // point/short-range queries are needed (paper Section 4.2 shows flat wins
 // there). Each report is one HRR coefficient sample, framed under the
 // versioned v2 envelope (envelope.h); the seed's unframed 10-byte v1
-// format stays decodable so old captures still parse.
+// format stays decodable so old captures still parse. The server is a
+// wire adapter over core/flat.h's FlatMechanism (hrr_server.h).
 
 #ifndef LDPRANGE_PROTOCOL_FLAT_PROTOCOL_H_
 #define LDPRANGE_PROTOCOL_FLAT_PROTOCOL_H_
@@ -16,7 +17,7 @@
 #include "common/random.h"
 #include "frequency/hrr.h"
 #include "protocol/envelope.h"
-#include "service/aggregator_server.h"
+#include "protocol/hrr_server.h"
 
 namespace ldp::protocol {
 
@@ -74,51 +75,31 @@ class FlatHrrClient : public DowngradableClient {
   double eps_;
 };
 
-/// Server-side flat HRR aggregator with O(1) post-Finalize range queries.
-/// Ingestion accounting, finalize discipline, and quantile search come
-/// from service::AggregatorServer.
-class FlatHrrServer final : public service::AggregatorServer {
+/// Server-side flat HRR aggregator: a wire adapter over
+/// FlatMechanism(kHrr), with O(1) post-Finalize range queries. Served
+/// uncertainty is the mechanism's: r items of HRR's exact per-item
+/// variance over the accepted reports.
+class FlatHrrServer final : public HrrMechanismServer {
  public:
   FlatHrrServer(uint64_t domain, double eps);
 
   std::string Name() const override { return "FlatHrr"; }
-  uint64_t domain() const override { return domain_; }
 
   /// Ingests one report; false (counted) when out of range.
-  bool Absorb(const HrrReport& report);
+  bool Absorb(const HrrReport& report) { return AbsorbLevel(1, report); }
   bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
 
   /// Batched ingestion; returns the number of accepted reports (rejects
   /// are counted per report, exactly as the Absorb loop would).
   uint64_t AbsorbBatch(std::span<const HrrReport> reports);
 
-  ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
-                                   uint64_t* accepted) override;
-
-  double RangeQuery(uint64_t a, uint64_t b) const override;
-  /// Uncertainty from Fact 1: a length-r range answers with variance
-  /// r * V_F over the accepted-report population.
-  RangeEstimate RangeQueryWithUncertainty(uint64_t a,
-                                          uint64_t b) const override;
-  std::vector<double> EstimateFrequencies() const override;
-
  private:
-  void DoFinalize() override;
+  ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
+                                     uint64_t* accepted) override;
   service::StateKind state_kind() const override {
     return service::StateKind::kFlat;
   }
-  double state_epsilon() const override { return eps_; }
-  void AppendStateBody(std::vector<uint8_t>& out) const override;
-  bool RestoreStateBody(std::span<const uint8_t> body) override;
   std::unique_ptr<service::AggregatorServer> DoCloneEmpty() const override;
-  service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
-
-  uint64_t domain_;
-  uint64_t padded_;
-  double eps_;
-  std::unique_ptr<HrrOracle> oracle_;
-  std::vector<double> frequencies_;
-  std::vector<double> prefix_;
 };
 
 }  // namespace ldp::protocol

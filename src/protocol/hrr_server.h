@@ -1,0 +1,114 @@
+// The server side shared by the three HRR wire protocols (flat, tree,
+// Haar): a wire adapter over the core mechanism of each paper
+// decomposition.
+//
+// A server owns the in-process mechanism (FlatMechanism,
+// HierarchicalMechanism or HaarHrrMechanism, all over HRR) and adds only
+// what the wire needs: checking decoded reports before they reach the
+// mechanism's level oracles, and the state-snapshot body codec. Finalize,
+// queries, uncertainty, clone and merge are the mechanism's own — so a
+// served answer, stddev included, is bit-identical to the in-process
+// mechanism fed the same reports.
+
+#ifndef LDPRANGE_PROTOCOL_HRR_SERVER_H_
+#define LDPRANGE_PROTOCOL_HRR_SERVER_H_
+
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "common/check.h"
+#include "core/range_mechanism.h"
+#include "frequency/hrr.h"
+#include "protocol/level_hrr.h"
+#include "service/aggregator_server.h"
+
+namespace ldp::protocol {
+
+/// An AggregatorServer whose aggregate is one core RangeMechanism with
+/// HRR level oracles.
+class HrrMechanismServer : public service::AggregatorServer {
+ public:
+  uint64_t domain() const override { return mechanism_->domain_size(); }
+
+  double RangeQuery(uint64_t a, uint64_t b) const override;
+  /// The mechanism's per-node variance accounting: HRR's exact per-item
+  /// variance summed over the nodes (tree), coefficients (Haar) or items
+  /// (flat) the range uses — +inf when a level it uses has no reports.
+  RangeEstimate RangeQueryWithUncertainty(uint64_t a,
+                                          uint64_t b) const override;
+  std::vector<double> EstimateFrequencies() const override;
+
+ protected:
+  /// Takes `mechanism`; the subclass constructor then registers its HRR
+  /// oracles with AddLevel, level 1 first. `level_count_in_state`
+  /// prefixes the state body with the level count (the tree and Haar
+  /// layout; flat's body is the bare oracle record).
+  HrrMechanismServer(std::unique_ptr<RangeMechanism> mechanism,
+                     bool level_count_in_state);
+
+  /// Registers the mechanism oracle behind the next level; it must be an
+  /// HrrOracle.
+  void AddLevel(FrequencyOracle& oracle);
+
+  /// The absorb hot path: checks level in [1, h], index below that
+  /// level's padded domain and sign in {-1, +1}, then folds the report
+  /// into the level oracle. False (counted as a rejection) otherwise.
+  bool AbsorbLevel(uint32_t level, const HrrReport& report) {
+    LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+    if (level == 0 || level > levels_.size() ||
+        report.coefficient_index >= levels_[level - 1]->padded_domain() ||
+        (report.sign != 1 && report.sign != -1)) {
+      stats_.CountRejected();
+      return false;
+    }
+    levels_[level - 1]->AbsorbReport(report);
+    stats_.CountAccepted();
+    return true;
+  }
+
+  /// The core mechanism this server aggregates into.
+  const RangeMechanism& mechanism() const { return *mechanism_; }
+  RangeMechanism& mutable_mechanism() { return *mechanism_; }
+
+  void DoFinalize() override;
+  double state_epsilon() const override { return mechanism_->epsilon(); }
+  void AppendStateBody(std::vector<uint8_t>& out) const override;
+  bool RestoreStateBody(std::span<const uint8_t> body) override;
+  service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
+
+ private:
+  std::unique_ptr<RangeMechanism> mechanism_;
+  // levels_[l-1] views the mechanism's level-l oracle.
+  std::vector<HrrOracle*> levels_;
+  bool level_count_in_state_;
+};
+
+/// An HrrMechanismServer fed level-sampled reports (level_hrr.h) under
+/// one protocol tag: the shared body of TreeHrrServer and HaarHrrServer.
+class LevelHrrServer : public HrrMechanismServer {
+ public:
+  /// Ingests one report; false (counted) on out-of-range level/index.
+  bool Absorb(const LevelHrrReport& report) {
+    return AbsorbLevel(report.level, report.inner);
+  }
+  bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
+
+  /// Batched ingestion; returns the number of accepted reports (rejects
+  /// are counted per report, exactly as the Absorb loop would).
+  uint64_t AbsorbBatch(std::span<const LevelHrrReport> reports);
+
+ protected:
+  LevelHrrServer(MechanismTag tag, std::unique_ptr<RangeMechanism> mechanism);
+
+  protocol::ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
+                                               uint64_t* accepted) override;
+
+ private:
+  MechanismTag tag_;
+};
+
+}  // namespace ldp::protocol
+
+#endif  // LDPRANGE_PROTOCOL_HRR_SERVER_H_

@@ -5,10 +5,11 @@
 // the cost of only a slight increase in error" versus TreeOUECI.
 //
 // Each report: sampled tree level + one HRR coefficient sample for that
-// level's one-hot node indicator — framed under the versioned v2 envelope
-// (18 bytes, or the legacy unframed 11-byte v1 format after a downgrade).
-// The server validates, aggregates per level, debiases, applies Section
-// 4.5 consistency, and serves range / prefix / quantile queries.
+// level's one-hot node indicator, in the level-HRR codec under the tree
+// tags (level_hrr.h: 18 bytes framed, or the legacy unframed 11-byte v1
+// format after a downgrade). The server validates reports into a core
+// HierarchicalMechanism, which debiases, applies Section 4.5
+// consistency, and serves range / prefix / quantile queries.
 
 #ifndef LDPRANGE_PROTOCOL_TREE_PROTOCOL_H_
 #define LDPRANGE_PROTOCOL_TREE_PROTOCOL_H_
@@ -20,43 +21,12 @@
 
 #include "common/random.h"
 #include "core/badic.h"
-#include "frequency/hrr.h"
+#include "core/hierarchical.h"
 #include "protocol/envelope.h"
-#include "service/aggregator_server.h"
+#include "protocol/hrr_server.h"
+#include "protocol/level_hrr.h"
 
 namespace ldp::protocol {
-
-/// An unserialized TreeHRR report.
-struct TreeHrrReport {
-  uint32_t level = 1;  // 1..height, sampled uniformly
-  HrrReport inner;
-};
-
-/// Serializes one report. v2 (default): envelope + payload [level u8]
-/// [index u64][sign u8], 18 bytes. v1: legacy [tag 0x03][level][index]
-/// [sign], 11 bytes.
-std::vector<uint8_t> SerializeTreeHrrReport(
-    const TreeHrrReport& report, uint8_t wire_version = kWireVersionV2);
-
-/// Parses and validates either wire version with an explicit error code.
-ParseError ParseTreeHrrReportDetailed(std::span<const uint8_t> bytes,
-                                      TreeHrrReport* report);
-
-/// Convenience wrapper: true iff ParseTreeHrrReportDetailed returns kOk.
-bool ParseTreeHrrReport(std::span<const uint8_t> bytes,
-                        TreeHrrReport* report);
-
-/// One framed v2 batch message (kTreeHrrBatch):
-/// payload = [count varint][count x ([level u8][index u64][sign u8])].
-std::vector<uint8_t> SerializeTreeHrrReportBatch(
-    std::span<const TreeHrrReport> reports);
-
-/// Parses a v2 batch message; per-item validation failures are skipped
-/// and counted in `malformed` (may be null), structural failures reject
-/// the whole message.
-ParseError ParseTreeHrrReportBatch(std::span<const uint8_t> bytes,
-                                   std::vector<TreeHrrReport>* reports,
-                                   uint64_t* malformed = nullptr);
 
 /// Client-side encoder. Wire-version selection and downgrade negotiation
 /// come from DowngradableClient.
@@ -66,13 +36,13 @@ class TreeHrrClient : public DowngradableClient {
 
   const TreeShape& shape() const { return shape_; }
 
-  TreeHrrReport Encode(uint64_t value, Rng& rng) const;
+  LevelHrrReport Encode(uint64_t value, Rng& rng) const;
   std::vector<uint8_t> EncodeSerialized(uint64_t value, Rng& rng) const;
 
   /// Batched encode (a simulation driver standing in for many devices):
   /// one report per value, drawn exactly as the Encode loop would.
-  std::vector<TreeHrrReport> EncodeUsers(std::span<const uint64_t> values,
-                                         Rng& rng) const;
+  std::vector<LevelHrrReport> EncodeUsers(std::span<const uint64_t> values,
+                                          Rng& rng) const;
 
   /// Batched encode + one framed v2 batch message (v2-only).
   std::vector<uint8_t> EncodeUsersSerialized(std::span<const uint64_t> values,
@@ -83,53 +53,27 @@ class TreeHrrClient : public DowngradableClient {
   double eps_;
 };
 
-/// Server-side aggregator with optional constrained inference. Ingestion
-/// accounting, finalize discipline, and quantile search come from
-/// service::AggregatorServer.
-class TreeHrrServer final : public service::AggregatorServer {
+/// Server-side aggregator: a wire adapter over
+/// HierarchicalMechanism({fanout, kHrr, consistency}). Served uncertainty
+/// is the mechanism's per-node accounting over the range's B-adic nodes
+/// (with the Lemma 4.6 factor under consistency), not the Theorem 4.3
+/// worst-case envelope.
+class TreeHrrServer final : public LevelHrrServer {
  public:
   TreeHrrServer(uint64_t domain, uint64_t fanout, double eps,
                 bool consistency = true);
 
   std::string Name() const override { return "TreeHrr"; }
-  const TreeShape& shape() const { return shape_; }
-  uint64_t domain() const override { return shape_.domain(); }
-
-  /// Ingests one report; false (counted) on out-of-range level/index.
-  bool Absorb(const TreeHrrReport& report);
-  bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
-
-  /// Batched ingestion; returns the number of accepted reports (rejects
-  /// are counted per report, exactly as the Absorb loop would).
-  uint64_t AbsorbBatch(std::span<const TreeHrrReport> reports);
-
-  ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
-                                   uint64_t* accepted) override;
-
-  double RangeQuery(uint64_t a, uint64_t b) const override;
-  /// Uncertainty from Theorem 4.3 (Eq. 2 after constrained inference):
-  /// the HH_B worst-case envelope for a length-r range.
-  RangeEstimate RangeQueryWithUncertainty(uint64_t a,
-                                          uint64_t b) const override;
-  std::vector<double> EstimateFrequencies() const override;
+  const TreeShape& shape() const { return tree().shape(); }
 
  private:
-  void DoFinalize() override;
+  const HierarchicalMechanism& tree() const;
   service::StateKind state_kind() const override {
     return service::StateKind::kTree;
   }
-  uint64_t state_fanout() const override { return shape_.fanout(); }
-  double state_epsilon() const override { return eps_; }
-  void AppendStateBody(std::vector<uint8_t>& out) const override;
-  bool RestoreStateBody(std::span<const uint8_t> body) override;
+  uint64_t state_fanout() const override { return shape().fanout(); }
   std::unique_ptr<service::AggregatorServer> DoCloneEmpty() const override;
   service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
-
-  TreeShape shape_;
-  double eps_;
-  bool consistency_;
-  std::vector<std::unique_ptr<HrrOracle>> level_oracles_;
-  std::vector<std::vector<double>> estimates_;
 };
 
 }  // namespace ldp::protocol

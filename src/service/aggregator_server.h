@@ -81,13 +81,14 @@ class AggregatorServer {
   /// [a, b]; requires a <= b < domain() and a finalized server.
   virtual double RangeQuery(uint64_t a, uint64_t b) const = 0;
 
-  /// RangeQuery plus the mechanism's analytic uncertainty for that range
-  /// (worst-case variance envelope for the fixed-shape mechanisms, the
-  /// exact per-node accounting for AHEAD). The wire query plane ships
-  /// this as (estimate, variance) pairs. Pure virtual on purpose: a
-  /// defaulted 0 (or even +inf) here would let a new mechanism silently
-  /// ship a wrong confidence bound — deciding the envelope is part of
-  /// implementing a server.
+  /// RangeQuery plus the mechanism's analytic uncertainty for that range:
+  /// its per-node variance accounting — the oracle variances summed over
+  /// the items, tree nodes, Haar coefficients or grid cells the range
+  /// uses — not the paper's worst-case envelopes (core/variance.h). The
+  /// wire query plane ships this as (estimate, variance) pairs. Pure
+  /// virtual on purpose: a defaulted 0 (or even +inf) here would let a
+  /// new mechanism silently ship a wrong confidence bound — deciding the
+  /// accounting is part of implementing a server.
   virtual RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                                   uint64_t b) const = 0;
 

@@ -689,19 +689,9 @@ MergeStatus AggregatorService::RunFanInMergeLocked(
   }
   merge_fan_in_ns_->Record(obs::NowNanos() - start_ns);
 
+  lock.lock();
   if (status == MergeStatus::kOk && finalize) {
-    // The strand is already claimed; mirror the FinalizeServer body.
-    lock.lock();
-    entry.state = EntryState::kFinalizing;
-    queue_space_.notify_all();  // blocked producers now observe "late"
-    lock.unlock();
-    NotifyQueueDrain(server_id);  // paused reads re-check (now "late")
-    entry.server->Finalize();
-    ++stats_.finalizes;
-    lock.lock();
-    entry.state = EntryState::kFinalized;
-  } else {
-    lock.lock();
+    FinalizeClaimedLocked(lock, server_id);
   }
   entry.scheduled = false;
   if (--busy_entries_ == 0 && ready_.empty()) {
@@ -753,14 +743,7 @@ void AggregatorService::ProcessEntry(std::unique_lock<std::mutex>& lock,
       continue;
     }
     if (entry.finalize_pending && entry.state == EntryState::kLive) {
-      entry.state = EntryState::kFinalizing;
-      queue_space_.notify_all();  // blocked producers now observe "late"
-      lock.unlock();
-      NotifyQueueDrain(entry_index);  // paused reads re-check (now "late")
-      entry.server->Finalize();
-      ++stats_.finalizes;
-      lock.lock();
-      entry.state = EntryState::kFinalized;
+      FinalizeClaimedLocked(lock, entry_index);
       entry.finalize_pending = false;
       continue;  // re-check the queue before releasing the strand
     }
@@ -771,6 +754,19 @@ void AggregatorService::ProcessEntry(std::unique_lock<std::mutex>& lock,
   if (--busy_entries_ == 0 && ready_.empty()) {
     idle_.notify_all();
   }
+}
+
+void AggregatorService::FinalizeClaimedLocked(
+    std::unique_lock<std::mutex>& lock, size_t entry_index) {
+  ServerEntry& entry = *entries_[entry_index];
+  entry.state = EntryState::kFinalizing;
+  queue_space_.notify_all();  // blocked producers now observe "late"
+  lock.unlock();
+  NotifyQueueDrain(entry_index);  // paused reads re-check (now "late")
+  entry.server->Finalize();
+  ++stats_.finalizes;
+  lock.lock();
+  entry.state = EntryState::kFinalized;
 }
 
 void AggregatorService::WorkerLoop() {
@@ -803,14 +799,7 @@ bool AggregatorService::FinalizeServer(uint64_t server_id) {
   // absorbed.
   entry.scheduled = true;
   ++busy_entries_;
-  entry.state = EntryState::kFinalizing;
-  queue_space_.notify_all();  // blocked producers now observe "late"
-  lock.unlock();
-  NotifyQueueDrain(server_id);  // paused reads re-check (now "late")
-  entry.server->Finalize();
-  ++stats_.finalizes;
-  lock.lock();
-  entry.state = EntryState::kFinalized;
+  FinalizeClaimedLocked(lock, server_id);
   entry.scheduled = false;
   if (--busy_entries_ == 0 && ready_.empty()) {
     idle_.notify_all();

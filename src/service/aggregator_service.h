@@ -303,6 +303,13 @@ class AggregatorService {
   void ScheduleLocked(std::unique_lock<std::mutex>& lock,
                       size_t entry_index);
   void ProcessEntry(std::unique_lock<std::mutex>& lock, size_t entry_index);
+  /// Finalizes a live entry whose strand the caller has claimed: marks it
+  /// kFinalizing (new chunks are late, blocked producers and paused
+  /// reads are woken to see it), runs Finalize unlocked, then marks it
+  /// kFinalized. Enters and leaves with `lock` held; the caller releases
+  /// the claim.
+  void FinalizeClaimedLocked(std::unique_lock<std::mutex>& lock,
+                             size_t entry_index);
   void HandleStreamBegin(std::span<const uint8_t> bytes);
   void EnqueueChunk(uint64_t session_id, uint64_t sequence,
                     QueuedChunk chunk);

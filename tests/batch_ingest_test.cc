@@ -166,7 +166,7 @@ TEST(BatchIngest, ProtocolBatchRoundTripMatchesLoop) {
     loop_server.Absorb(client.Encode(v, rng_l));
   }
   Rng rng_b(13);
-  std::vector<protocol::TreeHrrReport> reports = client.EncodeUsers(values,
+  std::vector<protocol::LevelHrrReport> reports = client.EncodeUsers(values,
                                                                     rng_b);
   EXPECT_EQ(batch_server.AbsorbBatch(reports), values.size());
 

@@ -178,5 +178,16 @@ TEST(HaarHrr, GuardsAgainstMisuse) {
   EXPECT_DEATH(mech.EncodeUser(3, rng), "Finalize");
 }
 
+TEST(HaarHrr, UserCountSeesReportsAbsorbedIntoLevelOracles) {
+  // A wire server absorbs client-encoded reports straight into the level
+  // oracles; the user count must include them.
+  HaarHrrMechanism mech(64, 1.1);
+  mech.level_oracle(1).AbsorbReport(HrrReport{3, +1});
+  mech.level_oracle(6).AbsorbReport(HrrReport{0, -1});
+  Rng rng(1);
+  mech.EncodeUser(7, rng);
+  EXPECT_EQ(mech.user_count(), 3u);
+}
+
 }  // namespace
 }  // namespace ldp

@@ -10,6 +10,7 @@
 #include "common/stats.h"
 #include "core/variance.h"
 #include "frequency/frequency_oracle.h"
+#include "frequency/hrr.h"
 
 namespace ldp {
 namespace {
@@ -275,6 +276,18 @@ TEST(Hierarchical, ReportBitsReflectsLevelMix) {
   // HRR at level l costs log2(2^l) + 1 bits; average over 8 levels is
   // (1+2+...+8)/8 + 1 = 5.5, plus 3 bits of level id.
   EXPECT_NEAR(mech.ReportBits(), 3.0 + 5.5, 1e-9);
+}
+
+TEST(Hierarchical, UserCountSeesReportsAbsorbedIntoLevelOracles) {
+  // A wire server absorbs client-encoded reports straight into the level
+  // oracles; the user count must include them.
+  HierarchicalMechanism mech(64, 1.1, Config(4, OracleKind::kHrr, true));
+  auto& level2 = dynamic_cast<HrrOracle&>(mech.level_oracle(2));
+  level2.AbsorbReport(HrrReport{3, +1});
+  level2.AbsorbReport(HrrReport{5, -1});
+  Rng rng(1);
+  mech.EncodeUser(7, rng);
+  EXPECT_EQ(mech.user_count(), 3u);
 }
 
 }  // namespace

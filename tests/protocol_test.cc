@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
-#include "core/haar_hrr.h"
+#include "core/method.h"
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
+#include "protocol/level_hrr.h"
+#include "protocol/tree_protocol.h"
 #include "protocol/wire.h"
+#include "service/server_factory.h"
 
 namespace ldp {
 namespace {
@@ -15,13 +20,16 @@ namespace {
 using protocol::FlatHrrClient;
 using protocol::FlatHrrServer;
 using protocol::HaarHrrClient;
-using protocol::HaarHrrReport;
 using protocol::HaarHrrServer;
-using protocol::ParseHaarHrrReport;
+using protocol::LevelHrrReport;
+using protocol::ParseError;
 using protocol::ParseHrrReport;
-using protocol::SerializeHaarHrrReport;
+using protocol::ParseLevelHrrReport;
 using protocol::SerializeHrrReport;
+using protocol::SerializeLevelHrrReport;
 using protocol::WireReader;
+
+constexpr protocol::MechanismTag kHaar = protocol::MechanismTag::kHaarHrr;
 
 TEST(Wire, RoundTripIntegers) {
   std::vector<uint8_t> buf;
@@ -173,49 +181,52 @@ TEST(ProtocolSerialization, HrrReportRoundTrip) {
 }
 
 TEST(ProtocolSerialization, HaarReportRoundTrip) {
-  HaarHrrReport report;
+  LevelHrrReport report;
   report.level = 7;
   report.inner = {42, -1};
-  HaarHrrReport back;
-  ASSERT_TRUE(ParseHaarHrrReport(SerializeHaarHrrReport(report), &back));
+  LevelHrrReport back;
+  ASSERT_EQ(ParseLevelHrrReport(
+                kHaar, SerializeLevelHrrReport(kHaar, report), &back),
+            ParseError::kOk);
   EXPECT_EQ(back.level, 7u);
   EXPECT_EQ(back.inner.coefficient_index, 42u);
   EXPECT_EQ(back.inner.sign, -1);
 }
 
 TEST(ProtocolSerialization, RejectsMalformedBuffers) {
-  HaarHrrReport report;
+  LevelHrrReport report;
   report.level = 3;
   report.inner = {5, +1};
-  HaarHrrReport out;
+  LevelHrrReport out;
   for (uint8_t version :
        {protocol::kWireVersionV1, protocol::kWireVersionV2}) {
     SCOPED_TRACE(int(version));
-    std::vector<uint8_t> good = SerializeHaarHrrReport(report, version);
+    std::vector<uint8_t> good = SerializeLevelHrrReport(kHaar, report, version);
     // v2 payload starts after the 8-byte envelope header; v1 after the
     // 1-byte tag.
     size_t body = version == protocol::kWireVersionV2 ? 8 : 1;
     // Truncations at every length.
     for (size_t len = 0; len < good.size(); ++len) {
       std::vector<uint8_t> cut(good.begin(), good.begin() + len);
-      EXPECT_FALSE(ParseHaarHrrReport(cut, &out)) << "len=" << len;
+      EXPECT_NE(ParseLevelHrrReport(kHaar, cut, &out), ParseError::kOk)
+          << "len=" << len;
     }
     // Trailing garbage.
     std::vector<uint8_t> extended = good;
     extended.push_back(0);
-    EXPECT_FALSE(ParseHaarHrrReport(extended, &out));
+    EXPECT_NE(ParseLevelHrrReport(kHaar, extended, &out), ParseError::kOk);
     // Wrong leading byte (magic in v2, tag in v1).
     std::vector<uint8_t> wrong_tag = good;
     wrong_tag[0] = 0x7F;
-    EXPECT_FALSE(ParseHaarHrrReport(wrong_tag, &out));
+    EXPECT_NE(ParseLevelHrrReport(kHaar, wrong_tag, &out), ParseError::kOk);
     // Bad sign byte.
     std::vector<uint8_t> bad_sign = good;
     bad_sign.back() = 2;
-    EXPECT_FALSE(ParseHaarHrrReport(bad_sign, &out));
+    EXPECT_NE(ParseLevelHrrReport(kHaar, bad_sign, &out), ParseError::kOk);
     // Level zero is invalid.
     std::vector<uint8_t> bad_level = good;
     bad_level[body] = 0;
-    EXPECT_FALSE(ParseHaarHrrReport(bad_level, &out));
+    EXPECT_NE(ParseLevelHrrReport(kHaar, bad_level, &out), ParseError::kOk);
   }
 }
 
@@ -224,7 +235,7 @@ TEST(ProtocolSerialization, FuzzedBuffersNeverCrash) {
   // byte-flipped valid reports must never produce an out-of-spec report.
   Rng rng(99);
   HrrReport flat_out;
-  HaarHrrReport haar_out;
+  LevelHrrReport haar_out;
   for (int i = 0; i < 3000; ++i) {
     size_t len = rng.UniformInt(16);
     std::vector<uint8_t> junk(len);
@@ -234,46 +245,100 @@ TEST(ProtocolSerialization, FuzzedBuffersNeverCrash) {
     if (ParseHrrReport(junk, &flat_out)) {
       EXPECT_TRUE(flat_out.sign == 1 || flat_out.sign == -1);
     }
-    if (ParseHaarHrrReport(junk, &haar_out)) {
+    if (ParseLevelHrrReport(kHaar, junk, &haar_out) == ParseError::kOk) {
       EXPECT_GE(haar_out.level, 1u);
       EXPECT_TRUE(haar_out.inner.sign == 1 || haar_out.inner.sign == -1);
     }
   }
 }
 
-TEST(HaarProtocol, EndToEndMatchesInProcessMechanism) {
-  // Same seed, same submission order: the wire path and the in-process
-  // mechanism must produce bit-identical estimates.
-  const uint64_t d = 64;
-  const double eps = 1.1;
+// Each HRR server is a codec adapter over its paper decomposition's core
+// mechanism, so under a shared RNG stream the served answers — estimate
+// AND stddev — must be bit-identical to the in-process mechanism's.
+struct WireEquivalenceCase {
+  std::string name;
+  service::ServerSpec server;
+  MethodSpec mechanism;
+};
+
+void PrintTo(const WireEquivalenceCase& c, std::ostream* os) { *os << c.name; }
+
+service::ServerSpec HrrServerSpec(service::ServerKind kind,
+                                  bool consistency) {
+  service::ServerSpec spec;
+  spec.kind = kind;
+  spec.domain = 64;
+  spec.eps = 1.1;
+  spec.fanout = 4;
+  spec.consistency = consistency;
+  return spec;
+}
+
+class WireEquivalenceTest
+    : public ::testing::TestWithParam<WireEquivalenceCase> {};
+
+TEST_P(WireEquivalenceTest, ServedMatchesInProcessBitForBit) {
+  const service::ServerSpec& spec = GetParam().server;
+  const uint64_t d = spec.domain;
+  FlatHrrClient flat(d, spec.eps);
+  protocol::TreeHrrClient tree(d, spec.fanout, spec.eps);
+  HaarHrrClient haar(d, spec.eps);
+  std::unique_ptr<service::AggregatorServer> server =
+      service::MakeAggregatorServer(spec);
+  std::unique_ptr<RangeMechanism> mech =
+      MakeMechanism(GetParam().mechanism, d, spec.eps);
   Rng rng_wire(7);
   Rng rng_mech(7);
-  HaarHrrClient client(d, eps);
-  HaarHrrServer server(d, eps);
-  HaarHrrMechanism mech(d, eps);
   for (int i = 0; i < 20000; ++i) {
     uint64_t value = (i * 13) % d;
-    ASSERT_TRUE(server.AbsorbSerialized(
-        client.EncodeSerialized(value, rng_wire)));
-    mech.EncodeUser(value, rng_mech);
+    std::vector<uint8_t> bytes =
+        spec.kind == service::ServerKind::kFlat
+            ? flat.EncodeSerialized(value, rng_wire)
+        : spec.kind == service::ServerKind::kTree
+            ? tree.EncodeSerialized(value, rng_wire)
+            : haar.EncodeSerialized(value, rng_wire);
+    ASSERT_TRUE(server->AbsorbSerialized(bytes));
+    mech->EncodeUser(value, rng_mech);
   }
-  server.Finalize();
+  server->Finalize();
   Rng finalize_rng(1);
-  mech.Finalize(finalize_rng);
-  EXPECT_EQ(server.accepted_reports(), 20000u);
-  EXPECT_EQ(server.rejected_reports(), 0u);
+  mech->Finalize(finalize_rng);
+  EXPECT_EQ(server->accepted_reports(), 20000u);
+  EXPECT_EQ(server->rejected_reports(), 0u);
+  // b reaches d - 1 from a = 0: the full domain, where Haar's stddev is 0.
   for (uint64_t a = 0; a < d; a += 5) {
     for (uint64_t b = a; b < d; b += 9) {
-      EXPECT_DOUBLE_EQ(server.RangeQuery(a, b), mech.RangeQuery(a, b))
-          << "[" << a << "," << b << "]";
+      RangeEstimate served = server->RangeQueryWithUncertainty(a, b);
+      RangeEstimate local = mech->RangeQueryWithUncertainty(a, b);
+      EXPECT_EQ(served.value, local.value) << "[" << a << "," << b << "]";
+      EXPECT_EQ(served.stddev, local.stddev) << "[" << a << "," << b << "]";
     }
   }
-  EXPECT_EQ(server.QuantileQuery(0.5), mech.QuantileQuery(0.5));
+  EXPECT_EQ(server->QuantileQuery(0.5), mech->QuantileQuery(0.5));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    HrrServers, WireEquivalenceTest,
+    ::testing::Values(
+        WireEquivalenceCase{
+            "FlatHRR", HrrServerSpec(service::ServerKind::kFlat, false),
+            MethodSpec::Flat(OracleKind::kHrr)},
+        WireEquivalenceCase{
+            "HHc4HRR", HrrServerSpec(service::ServerKind::kTree, true),
+            MethodSpec::Hh(4, OracleKind::kHrr, true)},
+        WireEquivalenceCase{
+            "HH4HRR", HrrServerSpec(service::ServerKind::kTree, false),
+            MethodSpec::Hh(4, OracleKind::kHrr, false)},
+        WireEquivalenceCase{
+            "HaarHRR", HrrServerSpec(service::ServerKind::kHaar, false),
+            MethodSpec::Haar()}),
+    [](const ::testing::TestParamInfo<WireEquivalenceCase>& info) {
+      return info.param.name;
+    });
 
 TEST(HaarProtocol, ServerRejectsOutOfRangeReports) {
   HaarHrrServer server(64, 1.0);  // height 6
-  HaarHrrReport report;
+  LevelHrrReport report;
   report.level = 7;  // too deep
   report.inner = {0, +1};
   EXPECT_FALSE(server.Absorb(report));
@@ -372,7 +437,7 @@ TEST(ProtocolLdp, ClientReportIsEpsLdp) {
   auto count_report = [&](uint64_t value) {
     int hits = 0;
     for (int i = 0; i < n; ++i) {
-      HaarHrrReport r = client.Encode(value, rng);
+      LevelHrrReport r = client.Encode(value, rng);
       if (r.level == 1 && r.inner.coefficient_index == 0 &&
           r.inner.sign == +1) {
         ++hits;

@@ -293,10 +293,10 @@ TEST(StatsPlane, MalformedStatsQueryGetsTypedRejection) {
 TEST(StatsPlane, ScrapeReconcilesExactlyWithServiceStats) {
   AggregatorService svc(/*worker_threads=*/2);
   uint64_t server_id = svc.AddServer(MakeAggregatorServer(FlatSpec()));
-  StreamSession(svc, 1, server_id,
-                {EncodeBatch(100, 1), EncodeBatch(100, 2)});
-  // A second session with one duplicate chunk and a stray unknown-session
-  // chunk so the hygiene counters are non-zero.
+  // A non-finalizing session with one duplicate chunk and a stray
+  // unknown-session chunk so the hygiene counters are non-zero. It goes
+  // first: a chunk sent after the finalizing session below would race
+  // the worker's finalize and land as late.
   svc.HandleMessage(service::SerializeStreamBegin({2, server_id}));
   std::vector<uint8_t> chunk = EncodeBatch(50, 3);
   svc.HandleMessage(service::SerializeStreamChunk(2, 0, chunk));
@@ -306,6 +306,8 @@ TEST(StatsPlane, ScrapeReconcilesExactlyWithServiceStats) {
   end.session_id = 2;
   end.chunk_count = 1;
   svc.HandleMessage(service::SerializeStreamEnd(end));
+  StreamSession(svc, 1, server_id,
+                {EncodeBatch(100, 1), EncodeBatch(100, 2)});
   svc.Drain();
 
   StatsResponse response = Scrape(svc);
@@ -339,7 +341,7 @@ TEST(StatsPlane, ScrapeReconcilesExactlyWithServiceStats) {
             m.CounterOr("service.chunks_absorbed"));
   EXPECT_EQ(m.CounterOr("service.sessions_begun"), 2u);
   EXPECT_EQ(m.CounterOr("service.sessions_completed"), 2u);
-  // 100 + 100 from session 1 plus 50 from session 2; the duplicate and
+  // 50 from session 2 plus 100 + 100 from session 1; the duplicate and
   // unknown-session chunks were dropped before ingestion.
   EXPECT_EQ(m.CounterOr("server0.accepted") +
                 m.CounterOr("server0.rejected"),

@@ -7,44 +7,52 @@
 
 #include "common/random.h"
 #include "core/hierarchical.h"
+#include "protocol/level_hrr.h"
 
 namespace ldp {
 namespace {
 
-using protocol::ParseTreeHrrReport;
-using protocol::SerializeTreeHrrReport;
+using protocol::LevelHrrReport;
+using protocol::ParseError;
+using protocol::ParseLevelHrrReport;
+using protocol::SerializeLevelHrrReport;
 using protocol::TreeHrrClient;
-using protocol::TreeHrrReport;
 using protocol::TreeHrrServer;
 
+constexpr protocol::MechanismTag kTree = protocol::MechanismTag::kTreeHrr;
+
 TEST(TreeProtocol, SerializationRoundTrip) {
-  TreeHrrReport report;
+  LevelHrrReport report;
   report.level = 5;
   report.inner = {1234, -1};
-  TreeHrrReport back;
-  ASSERT_TRUE(ParseTreeHrrReport(SerializeTreeHrrReport(report), &back));
+  LevelHrrReport back;
+  ASSERT_EQ(ParseLevelHrrReport(
+                kTree, SerializeLevelHrrReport(kTree, report), &back),
+            ParseError::kOk);
   EXPECT_EQ(back.level, 5u);
   EXPECT_EQ(back.inner.coefficient_index, 1234u);
   EXPECT_EQ(back.inner.sign, -1);
 }
 
 TEST(TreeProtocol, SerializationRejectsTagsOfOtherProtocols) {
-  TreeHrrReport report;
+  LevelHrrReport report;
   report.level = 1;
   report.inner = {0, +1};
-  TreeHrrReport out;
+  LevelHrrReport out;
   // v2: the mechanism tag lives at offset 3 of the envelope header.
-  std::vector<uint8_t> v2 = SerializeTreeHrrReport(report);
+  std::vector<uint8_t> v2 = SerializeLevelHrrReport(kTree, report);
   for (uint8_t tag : {0x01, 0x02, 0x00, 0xFF}) {
     v2[3] = tag;
-    EXPECT_FALSE(ParseTreeHrrReport(v2, &out)) << "v2 tag " << int(tag);
+    EXPECT_NE(ParseLevelHrrReport(kTree, v2, &out), ParseError::kOk)
+        << "v2 tag " << int(tag);
   }
   // v1: the tag is the leading byte.
   std::vector<uint8_t> v1 =
-      SerializeTreeHrrReport(report, ldp::protocol::kWireVersionV1);
+      SerializeLevelHrrReport(kTree, report, ldp::protocol::kWireVersionV1);
   for (uint8_t tag : {0x01, 0x02, 0x00, 0xFF}) {
     v1[0] = tag;
-    EXPECT_FALSE(ParseTreeHrrReport(v1, &out)) << "v1 tag " << int(tag);
+    EXPECT_NE(ParseLevelHrrReport(kTree, v1, &out), ParseError::kOk)
+        << "v1 tag " << int(tag);
   }
 }
 
@@ -99,7 +107,7 @@ TEST(TreeProtocol, NoiselessAccuracy) {
 
 TEST(TreeProtocol, RejectsOutOfRangeLevelsAndIndices) {
   TreeHrrServer server(256, 4, 1.0);  // height 4; level l has 4^l nodes
-  TreeHrrReport report;
+  LevelHrrReport report;
   report.level = 5;
   report.inner = {0, +1};
   EXPECT_FALSE(server.Absorb(report));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -142,6 +143,24 @@ TEST(Uncertainty, FullDomainHaarQueryIsCertain) {
   RangeEstimate est = mech->RangeQueryWithUncertainty(0, 127);
   EXPECT_NEAR(est.value, 1.0, 1e-12);
   EXPECT_NEAR(est.stddev, 0.0, 1e-12);
+}
+
+TEST(Uncertainty, HaarStddevIsNeverNaNOverEmptyLevels) {
+  // A level with no reports has infinite variance. A range that weighs
+  // none of its coefficients (the full domain) stays certain, one that
+  // weighs some is infinitely uncertain — never 0 * inf = NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int users : {0, 1}) {
+    SCOPED_TRACE(users);
+    Rng rng(8);
+    auto mech = MakeMechanism(MethodSpec::Haar(), 256, 1.1);
+    for (int i = 0; i < users; ++i) {
+      mech->EncodeUser(42, rng);
+    }
+    mech->Finalize(rng);
+    EXPECT_EQ(mech->RangeQueryWithUncertainty(0, 255).stddev, 0.0);
+    EXPECT_EQ(mech->RangeQueryWithUncertainty(3, 77).stddev, inf);
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "protocol/envelope.h"
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
+#include "protocol/level_hrr.h"
 #include "protocol/oracle_wire.h"
 #include "protocol/tree_protocol.h"
 #include "protocol/wire.h"
@@ -63,8 +64,9 @@ std::vector<ParserUnderTest> AllParsers() {
   parsers.push_back(
       {"haar_v2", haar.EncodeSerialized(20, rng),
        [](std::span<const uint8_t> bytes) {
-         protocol::HaarHrrReport r;
-         ParseError err = protocol::ParseHaarHrrReportDetailed(bytes, &r);
+         protocol::LevelHrrReport r;
+         ParseError err =
+             protocol::ParseLevelHrrReport(MechanismTag::kHaarHrr, bytes, &r);
          if (err == ParseError::kOk) {
            EXPECT_GE(r.level, 1u);
            EXPECT_TRUE(r.inner.sign == 1 || r.inner.sign == -1);
@@ -76,8 +78,9 @@ std::vector<ParserUnderTest> AllParsers() {
   parsers.push_back(
       {"tree_v2", tree.EncodeSerialized(100, rng),
        [](std::span<const uint8_t> bytes) {
-         protocol::TreeHrrReport r;
-         ParseError err = protocol::ParseTreeHrrReportDetailed(bytes, &r);
+         protocol::LevelHrrReport r;
+         ParseError err =
+             protocol::ParseLevelHrrReport(MechanismTag::kTreeHrr, bytes, &r);
          if (err == ParseError::kOk) {
            EXPECT_GE(r.level, 1u);
          }
@@ -105,15 +108,17 @@ std::vector<ParserUnderTest> AllParsers() {
        protocol::TreeHrrClient(128, 4, 1.0)
            .EncodeUsersSerialized(values, rng),
        [](std::span<const uint8_t> bytes) {
-         std::vector<protocol::TreeHrrReport> rs;
-         return protocol::ParseTreeHrrReportBatch(bytes, &rs);
+         std::vector<protocol::LevelHrrReport> rs;
+         return protocol::ParseLevelHrrReportBatch(MechanismTag::kTreeHrr,
+                                                   bytes, &rs);
        }});
   parsers.push_back(
       {"haar_batch",
        protocol::HaarHrrClient(64, 1.0).EncodeUsersSerialized(values, rng),
        [](std::span<const uint8_t> bytes) {
-         std::vector<protocol::HaarHrrReport> rs;
-         return protocol::ParseHaarHrrReportBatch(bytes, &rs);
+         std::vector<protocol::LevelHrrReport> rs;
+         return protocol::ParseLevelHrrReportBatch(MechanismTag::kHaarHrr,
+                                                   bytes, &rs);
        }});
 
   parsers.push_back(

@@ -17,6 +17,7 @@
 #include "protocol/envelope.h"
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
+#include "protocol/level_hrr.h"
 #include "protocol/multidim_protocol.h"
 #include "protocol/oracle_wire.h"
 #include "protocol/tree_protocol.h"
@@ -50,13 +51,15 @@ TEST(WireGolden, V1HaarCaptureDecodesByteIdentically) {
   // level = 7, index = 42, sign = -1.
   const std::vector<uint8_t> capture = {0x02, 0x07, 0x2A, 0x00, 0x00, 0x00,
                                         0x00, 0x00, 0x00, 0x00, 0x00};
-  protocol::HaarHrrReport report;
-  ASSERT_EQ(protocol::ParseHaarHrrReportDetailed(capture, &report),
-            ParseError::kOk);
+  protocol::LevelHrrReport report;
+  ASSERT_EQ(
+      protocol::ParseLevelHrrReport(MechanismTag::kHaarHrr, capture, &report),
+      ParseError::kOk);
   EXPECT_EQ(report.level, 7u);
   EXPECT_EQ(report.inner.coefficient_index, 42u);
   EXPECT_EQ(report.inner.sign, -1);
-  EXPECT_EQ(protocol::SerializeHaarHrrReport(report, kWireVersionV1),
+  EXPECT_EQ(protocol::SerializeLevelHrrReport(MechanismTag::kHaarHrr, report,
+                                             kWireVersionV1),
             capture);
 }
 
@@ -65,13 +68,15 @@ TEST(WireGolden, V1TreeCaptureDecodesByteIdentically) {
   // level = 3, index = 0x04D2 (= 1234), sign = +1.
   const std::vector<uint8_t> capture = {0x03, 0x03, 0xD2, 0x04, 0x00, 0x00,
                                         0x00, 0x00, 0x00, 0x00, 0x01};
-  protocol::TreeHrrReport report;
-  ASSERT_EQ(protocol::ParseTreeHrrReportDetailed(capture, &report),
-            ParseError::kOk);
+  protocol::LevelHrrReport report;
+  ASSERT_EQ(
+      protocol::ParseLevelHrrReport(MechanismTag::kTreeHrr, capture, &report),
+      ParseError::kOk);
   EXPECT_EQ(report.level, 3u);
   EXPECT_EQ(report.inner.coefficient_index, 1234u);
   EXPECT_EQ(report.inner.sign, +1);
-  EXPECT_EQ(protocol::SerializeTreeHrrReport(report, kWireVersionV1),
+  EXPECT_EQ(protocol::SerializeLevelHrrReport(MechanismTag::kTreeHrr, report,
+                                             kWireVersionV1),
             capture);
 }
 
@@ -96,10 +101,11 @@ TEST(WireGolden, V2TreeLayoutIsPinned) {
   const std::vector<uint8_t> expected = {
       0x4C, 0x52, 0x02, 0x03, 0x0A, 0x00, 0x00, 0x00,
       0x05, 0xD2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01};
-  protocol::TreeHrrReport report;
+  protocol::LevelHrrReport report;
   report.level = 5;
   report.inner = {1234, +1};
-  EXPECT_EQ(protocol::SerializeTreeHrrReport(report), expected);
+  EXPECT_EQ(protocol::SerializeLevelHrrReport(MechanismTag::kTreeHrr, report),
+            expected);
 }
 
 TEST(WireGolden, V2GrrLayoutIsPinned) {

@@ -14,6 +14,7 @@
 #include "protocol/envelope.h"
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
+#include "protocol/level_hrr.h"
 #include "protocol/oracle_wire.h"
 #include "protocol/tree_protocol.h"
 #include "protocol/wire.h"
@@ -67,13 +68,14 @@ TEST(WireProperty, HaarHrrRoundTripIdentity) {
     RandomParams p = DrawParams(rng);
     protocol::HaarHrrClient client(p.domain, p.eps);
     uint64_t value = rng.UniformInt(p.domain);
-    protocol::HaarHrrReport report = client.Encode(value, rng);
+    protocol::LevelHrrReport report = client.Encode(value, rng);
     for (uint8_t version : {kWireVersionV1, kWireVersionV2}) {
-      std::vector<uint8_t> bytes =
-          protocol::SerializeHaarHrrReport(report, version);
-      protocol::HaarHrrReport back;
-      ASSERT_EQ(protocol::ParseHaarHrrReportDetailed(bytes, &back),
-                ParseError::kOk)
+      std::vector<uint8_t> bytes = protocol::SerializeLevelHrrReport(
+          MechanismTag::kHaarHrr, report, version);
+      protocol::LevelHrrReport back;
+      ASSERT_EQ(
+          protocol::ParseLevelHrrReport(MechanismTag::kHaarHrr, bytes, &back),
+          ParseError::kOk)
           << "trial " << t << " version " << int(version);
       EXPECT_EQ(back.level, report.level);
       EXPECT_EQ(back.inner.coefficient_index,
@@ -90,13 +92,14 @@ TEST(WireProperty, TreeHrrRoundTripIdentity) {
     uint64_t fanout = 2 + rng.UniformInt(15);
     protocol::TreeHrrClient client(p.domain, fanout, p.eps);
     uint64_t value = rng.UniformInt(p.domain);
-    protocol::TreeHrrReport report = client.Encode(value, rng);
+    protocol::LevelHrrReport report = client.Encode(value, rng);
     for (uint8_t version : {kWireVersionV1, kWireVersionV2}) {
-      std::vector<uint8_t> bytes =
-          protocol::SerializeTreeHrrReport(report, version);
-      protocol::TreeHrrReport back;
-      ASSERT_EQ(protocol::ParseTreeHrrReportDetailed(bytes, &back),
-                ParseError::kOk)
+      std::vector<uint8_t> bytes = protocol::SerializeLevelHrrReport(
+          MechanismTag::kTreeHrr, report, version);
+      protocol::LevelHrrReport back;
+      ASSERT_EQ(
+          protocol::ParseLevelHrrReport(MechanismTag::kTreeHrr, bytes, &back),
+          ParseError::kOk)
           << "trial " << t << " version " << int(version);
       EXPECT_EQ(back.level, report.level);
       EXPECT_EQ(back.inner.coefficient_index,
@@ -261,7 +264,7 @@ TEST(WireProperty, HaarBatchRoundTripMatchesEncodeUsers) {
   Rng vals(2);
   for (int i = 0; i < 500; ++i) values.push_back(vals.UniformInt(256));
 
-  std::vector<protocol::HaarHrrReport> direct =
+  std::vector<protocol::LevelHrrReport> direct =
       client.EncodeUsers(values, rng_a);
   std::vector<uint8_t> framed = client.EncodeUsersSerialized(values, rng_b);
 
@@ -288,7 +291,7 @@ TEST(WireProperty, TreeBatchRoundTripMatchesEncodeUsers) {
   Rng vals(3);
   for (int i = 0; i < 500; ++i) values.push_back(vals.UniformInt(256));
 
-  std::vector<protocol::TreeHrrReport> direct =
+  std::vector<protocol::LevelHrrReport> direct =
       client.EncodeUsers(values, rng_a);
   std::vector<uint8_t> framed = client.EncodeUsersSerialized(values, rng_b);
 
