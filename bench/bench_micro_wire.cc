@@ -1,13 +1,10 @@
-// Microbenchmarks for the wire serialization layer: what does the v2
-// envelope (envelope.h) cost over the seed's raw v1 framing on the
-// report hot path? Batch sizes match PR 2's ingest baselines
-// (BENCH_baseline.json: 32768 and 262144 users) — the guard for the
-// claim that framing costs < 2% versus the raw v1 path at those sizes.
-// Measured on the baseline box the claim holds with margin: the batch
-// frame (one 8-byte header + count varint amortized over the whole
-// batch, one allocation) encodes ~1.6x and decodes ~1.5x FASTER than
-// the per-report v1 loop; only the per-report v2 path — one envelope
-// per 9-byte payload, which no batch caller ships — pays real overhead.
+// Microbenchmarks for the wire serialization layer: the shared report
+// codec (report_codec.h) on the flat HRR layout, per report versus one
+// batch frame. Batch sizes match the ingest baselines
+// (BENCH_baseline.json: 32768 and 262144 users). The batch frame (one
+// 8-byte header + count varint amortized over the whole batch, one
+// allocation) is the shape every ingest caller ships; the per-report
+// path pays one envelope per 9-byte item.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +13,7 @@
 #include "common/random.h"
 #include "protocol/envelope.h"
 #include "protocol/flat_protocol.h"
+#include "protocol/report_codec.h"
 #include "protocol/wire.h"
 
 namespace {
@@ -35,73 +33,46 @@ std::vector<HrrReport> MakeReports(int64_t n) {
   return client.EncodeUsers(values, rng);
 }
 
-// --- encode: per-report framing, v1 vs v2 --------------------------------
-
-void BM_WireEncodeReportsV1(benchmark::State& state) {
-  std::vector<HrrReport> reports = MakeReports(state.range(0));
-  for (auto _ : state) {
-    for (const HrrReport& report : reports) {
-      benchmark::DoNotOptimize(
-          protocol::SerializeHrrReport(report, protocol::kWireVersionV1));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WireEncodeReportsV1)->Arg(32768)->Arg(262144);
+// --- encode: per-report framing vs one batch frame ----------------------
 
 void BM_WireEncodeReportsV2(benchmark::State& state) {
   std::vector<HrrReport> reports = MakeReports(state.range(0));
   for (auto _ : state) {
     for (const HrrReport& report : reports) {
-      benchmark::DoNotOptimize(protocol::SerializeHrrReport(report));
+      benchmark::DoNotOptimize(
+          protocol::SerializeReport(protocol::HrrLayout{}, report));
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_WireEncodeReportsV2)->Arg(32768)->Arg(262144);
 
-// One envelope for the whole batch: the deployment shape for PR 2's
-// EncodeUsers path.
+// One envelope for the whole batch: the deployment shape of the
+// EncodeUsersSerialized path.
 void BM_WireEncodeBatchV2(benchmark::State& state) {
   std::vector<HrrReport> reports = MakeReports(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol::SerializeHrrReportBatch(reports));
+    benchmark::DoNotOptimize(
+        protocol::SerializeReportBatch(protocol::HrrLayout{}, reports));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_WireEncodeBatchV2)->Arg(32768)->Arg(262144);
 
-// --- decode: per-report parsing, v1 vs v2 --------------------------------
-
-void BM_WireDecodeReportsV1(benchmark::State& state) {
-  std::vector<HrrReport> reports = MakeReports(state.range(0));
-  std::vector<std::vector<uint8_t>> wire;
-  wire.reserve(reports.size());
-  for (const HrrReport& report : reports) {
-    wire.push_back(
-        protocol::SerializeHrrReport(report, protocol::kWireVersionV1));
-  }
-  for (auto _ : state) {
-    HrrReport out;
-    for (const std::vector<uint8_t>& bytes : wire) {
-      benchmark::DoNotOptimize(protocol::ParseHrrReport(bytes, &out));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WireDecodeReportsV1)->Arg(32768)->Arg(262144);
+// --- decode: per-report parsing vs one batch frame ----------------------
 
 void BM_WireDecodeReportsV2(benchmark::State& state) {
   std::vector<HrrReport> reports = MakeReports(state.range(0));
   std::vector<std::vector<uint8_t>> wire;
   wire.reserve(reports.size());
   for (const HrrReport& report : reports) {
-    wire.push_back(protocol::SerializeHrrReport(report));
+    wire.push_back(protocol::SerializeReport(protocol::HrrLayout{}, report));
   }
   for (auto _ : state) {
     HrrReport out;
     for (const std::vector<uint8_t>& bytes : wire) {
-      benchmark::DoNotOptimize(protocol::ParseHrrReport(bytes, &out));
+      benchmark::DoNotOptimize(
+          protocol::ParseReport(protocol::HrrLayout{}, bytes, &out));
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -109,11 +80,12 @@ void BM_WireDecodeReportsV2(benchmark::State& state) {
 BENCHMARK(BM_WireDecodeReportsV2)->Arg(32768)->Arg(262144);
 
 void BM_WireDecodeBatchV2(benchmark::State& state) {
-  std::vector<uint8_t> framed =
-      protocol::SerializeHrrReportBatch(MakeReports(state.range(0)));
+  std::vector<uint8_t> framed = protocol::SerializeReportBatch(
+      protocol::HrrLayout{}, MakeReports(state.range(0)));
   for (auto _ : state) {
     std::vector<HrrReport> out;
-    benchmark::DoNotOptimize(protocol::ParseHrrReportBatch(framed, &out));
+    benchmark::DoNotOptimize(
+        protocol::ParseReportBatch(protocol::HrrLayout{}, framed, &out));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -108,9 +108,10 @@ int main() {
   uint64_t sequence = 0;
   for (size_t begin = 0; begin < reports.size(); begin += kReportsPerChunk) {
     size_t count = std::min(kReportsPerChunk, reports.size() - begin);
-    std::vector<uint8_t> batch = protocol::SerializeMultiDimReportBatch(
-        2, std::span<const protocol::MultiDimReport>(reports)
-               .subspan(begin, count));
+    std::vector<uint8_t> batch = protocol::SerializeReportBatch(
+        protocol::MultiDimLayout{2},
+        std::span<const protocol::MultiDimReport>(reports).subspan(begin,
+                                                                   count));
     service.HandleMessage(
         service::SerializeStreamChunk(kSession, sequence++, batch));
   }

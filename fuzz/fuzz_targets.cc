@@ -14,6 +14,7 @@
 #include "protocol/level_hrr.h"
 #include "protocol/multidim_protocol.h"
 #include "protocol/oracle_wire.h"
+#include "protocol/report_codec.h"
 #include "protocol/tree_protocol.h"
 #include "service/aggregator_service.h"
 #include "service/server_factory.h"
@@ -58,43 +59,42 @@ int FuzzDecodeEnvelope(const uint8_t* data, size_t size) {
 
   // Every typed parser must be total over the same bytes, and whatever
   // parses must be in-spec.
+  const protocol::LevelHrrLayout kHaarLayout{protocol::MechanismTag::kHaarHrr};
+  const protocol::LevelHrrLayout kTreeLayout{protocol::MechanismTag::kTreeHrr};
   HrrReport flat;
-  if (protocol::ParseHrrReport(bytes, &flat)) {
+  if (protocol::ParseReport(protocol::HrrLayout{}, bytes, &flat) ==
+      ParseError::kOk) {
     LDP_FUZZ_ASSERT(flat.sign == 1 || flat.sign == -1);
   }
   protocol::LevelHrrReport haar;
-  if (protocol::ParseLevelHrrReport(protocol::MechanismTag::kHaarHrr, bytes,
-                                    &haar) == ParseError::kOk) {
+  if (protocol::ParseReport(kHaarLayout, bytes, &haar) == ParseError::kOk) {
     LDP_FUZZ_ASSERT(haar.level >= 1);
     LDP_FUZZ_ASSERT(haar.inner.sign == 1 || haar.inner.sign == -1);
   }
   protocol::LevelHrrReport tree;
-  if (protocol::ParseLevelHrrReport(protocol::MechanismTag::kTreeHrr, bytes,
-                                    &tree) == ParseError::kOk) {
+  if (protocol::ParseReport(kTreeLayout, bytes, &tree) == ParseError::kOk) {
     LDP_FUZZ_ASSERT(tree.level >= 1);
     LDP_FUZZ_ASSERT(tree.inner.sign == 1 || tree.inner.sign == -1);
   }
 
   std::vector<HrrReport> flat_batch;
   uint64_t malformed = 0;
-  if (protocol::ParseHrrReportBatch(bytes, &flat_batch, &malformed) ==
-      ParseError::kOk) {
+  if (protocol::ParseReportBatch(protocol::HrrLayout{}, bytes, &flat_batch,
+                                &malformed) == ParseError::kOk) {
     for (const HrrReport& r : flat_batch) {
       LDP_FUZZ_ASSERT(r.sign == 1 || r.sign == -1);
     }
     LDP_FUZZ_ASSERT(flat_batch.size() + malformed <= bytes.size());
   }
   std::vector<protocol::LevelHrrReport> haar_batch;
-  if (protocol::ParseLevelHrrReportBatch(protocol::MechanismTag::kHaarHrr,
-                                         bytes, &haar_batch) ==
+  if (protocol::ParseReportBatch(kHaarLayout, bytes, &haar_batch) ==
       ParseError::kOk) {
     for (const protocol::LevelHrrReport& r : haar_batch) {
       LDP_FUZZ_ASSERT(r.level >= 1);
     }
   }
   std::vector<protocol::LevelHrrReport> tree_batch;
-  if (protocol::ParseLevelHrrReportBatch(protocol::MechanismTag::kTreeHrr,
-                                         bytes, &tree_batch) ==
+  if (protocol::ParseReportBatch(kTreeLayout, bytes, &tree_batch) ==
       ParseError::kOk) {
     for (const protocol::LevelHrrReport& r : tree_batch) {
       LDP_FUZZ_ASSERT(r.level >= 1);
@@ -102,13 +102,14 @@ int FuzzDecodeEnvelope(const uint8_t* data, size_t size) {
   }
 
   protocol::AheadWireReport ahead;
-  if (protocol::ParseAheadReport(bytes, &ahead)) {
+  if (protocol::ParseReport(protocol::AheadLayout{}, bytes, &ahead) ==
+      ParseError::kOk) {
     LDP_FUZZ_ASSERT(ahead.phase == 1 || ahead.phase == 2);
     LDP_FUZZ_ASSERT(ahead.level >= 1);
   }
   std::vector<protocol::AheadWireReport> ahead_batch;
-  if (protocol::ParseAheadReportBatch(bytes, &ahead_batch) ==
-      ParseError::kOk) {
+  if (protocol::ParseReportBatch(protocol::AheadLayout{}, bytes,
+                                &ahead_batch) == ParseError::kOk) {
     for (const protocol::AheadWireReport& r : ahead_batch) {
       LDP_FUZZ_ASSERT(r.phase == 1 || r.phase == 2);
     }
@@ -348,7 +349,8 @@ int FuzzMultiDimAbsorb(const uint8_t* data, size_t size) {
 
   // Typed parser totality: whatever parses must be in-spec.
   protocol::MultiDimReport report;
-  if (protocol::ParseMultiDimReport(bytes, &report) == ParseError::kOk) {
+  if (protocol::ParseReport(protocol::MultiDimLayout{}, bytes, &report) ==
+      ParseError::kOk) {
     LDP_FUZZ_ASSERT(!report.levels.empty());
     LDP_FUZZ_ASSERT(report.levels.size() <= protocol::kMaxWireDimensions);
     bool nontrivial = false;
@@ -358,8 +360,8 @@ int FuzzMultiDimAbsorb(const uint8_t* data, size_t size) {
   {
     std::vector<protocol::MultiDimReport> reports;
     uint64_t malformed = 0;
-    if (protocol::ParseMultiDimReportBatch(bytes, &reports, &malformed) ==
-        ParseError::kOk) {
+    if (protocol::ParseReportBatch(protocol::MultiDimLayout{}, bytes, &reports,
+                                  &malformed) == ParseError::kOk) {
       for (const protocol::MultiDimReport& r : reports) {
         LDP_FUZZ_ASSERT(!r.levels.empty());
         LDP_FUZZ_ASSERT(r.levels.size() == reports.front().levels.size());

@@ -6,7 +6,9 @@
 //
 // Every file written here is replayed on every CTest run by
 // tests/fuzz_regression_test.cc, and is a starting point for the
-// coverage-guided fuzzers.
+// coverage-guided fuzzers. The checked-in v1_single and *_single_v1
+// seeds are captures of the retired unframed v1 format; nothing here
+// writes them any more, and they replay as inputs every parser rejects.
 
 #include <cstdio>
 #include <filesystem>
@@ -67,11 +69,7 @@ void EmitFlat() {
   // Valid frame, out-of-range coefficient: exercises the server-side
   // range rejection rather than the parser.
   WriteFile("flat_absorb", "v2_out_of_range",
-            SerializeHrrReport(HrrReport{1u << 20, +1}));
-  client.set_wire_version(kWireVersionV1);
-  WriteFile("flat_absorb", "v1_single", client.EncodeSerialized(12, rng));
-  WriteFile("decode_envelope", "flat_single_v1",
-            client.EncodeSerialized(9, rng));
+            SerializeReport(HrrLayout{}, HrrReport{1u << 20, +1}));
 }
 
 void EmitHaar() {
@@ -85,10 +83,6 @@ void EmitHaar() {
             client.EncodeSerialized(5, rng));
   WriteFile("decode_envelope", "haar_batch",
             client.EncodeUsersSerialized(values, rng));
-  client.set_wire_version(kWireVersionV1);
-  WriteFile("haar_absorb", "v1_single", client.EncodeSerialized(40, rng));
-  WriteFile("decode_envelope", "haar_single_v1",
-            client.EncodeSerialized(33, rng));
 }
 
 void EmitTree() {
@@ -100,10 +94,6 @@ void EmitTree() {
             client.EncodeUsersSerialized(values, rng));
   WriteFile("decode_envelope", "tree_single",
             client.EncodeSerialized(11, rng));
-  client.set_wire_version(kWireVersionV1);
-  WriteFile("tree_absorb", "v1_single", client.EncodeSerialized(77, rng));
-  WriteFile("decode_envelope", "tree_single_v1",
-            client.EncodeSerialized(60, rng));
 }
 
 void EmitOracles() {
@@ -152,12 +142,12 @@ void EmitAhead() {
   // Forged node ids: past a phase-1 level's node count and past a
   // phase-2 frontier; both exercise the server-side range rejection.
   WriteFile("ahead_absorb", "v2_forged_phase1_node",
-            SerializeAheadReport(AheadWireReport{1, 1, 1u << 20}));
+            SerializeReport(AheadLayout{}, AheadWireReport{1, 1, 1u << 20}));
   WriteFile("ahead_absorb", "v2_forged_phase2_node",
-            SerializeAheadReport(AheadWireReport{2, 1, 1u << 20}));
+            SerializeReport(AheadLayout{}, AheadWireReport{2, 1, 1u << 20}));
   // Level 0 is structurally invalid in either phase (parser rejection).
   std::vector<uint8_t> bad_level =
-      SerializeAheadReport(AheadWireReport{2, 3, 9});
+      SerializeReport(AheadLayout{}, AheadWireReport{2, 3, 9});
   bad_level[kEnvelopeHeaderSize + 1] = 0;
   WriteFile("ahead_absorb", "v2_level_zero", bad_level);
   // Truncated mid-payload.
@@ -196,13 +186,13 @@ void EmitMultiDim() {
   forged.seed = 7;
   forged.cell = 0xFFFFFFFFu;
   WriteFile("multidim_absorb", "v2_cell_out_of_range",
-            SerializeMultiDimReport(forged));
+            SerializeReport(MultiDimLayout{2}, forged));
   // Wrong dimensionality for the harness's 2-D server.
   MultiDimReport wrong_dims;
   wrong_dims.levels = {1, 0, 2};
   wrong_dims.seed = 9;
   WriteFile("multidim_absorb", "v2_wrong_dims",
-            SerializeMultiDimReport(wrong_dims));
+            SerializeReport(MultiDimLayout{3}, wrong_dims));
   // All-root level tuple: structurally invalid (parser rejection).
   std::vector<uint8_t> all_root = single;
   for (size_t i = 0; i < 2; ++i) all_root[kEnvelopeHeaderSize + 1 + i] = 0;
@@ -460,7 +450,7 @@ void EmitState() {
     for (uint64_t v : {3u, 17u, 42u}) {
       reports.push_back(client.EncodePhase1(v, rng));
     }
-    ingest(*server, SerializeAheadReportBatch(reports));
+    ingest(*server, SerializeReportBatch(AheadLayout{}, reports));
     WriteFile("decode_envelope", "state_snapshot_ahead",
               server->SerializeState());
   }

@@ -340,12 +340,15 @@ bool TcpFrontEnd::RouteMessage(Connection& conn,
   if (result == service::AggregatorService::AdmitResult::kWouldBlock) {
     // Backpressure: park the message, stop reading this connection, let
     // the kernel socket buffer (and the client's send window) absorb
-    // the pressure until the server's strand drains.
+    // the pressure until the server's strand drains. A parked message
+    // that blocks again on resume is the same pause, not a new one.
     conn.pending_message = std::move(message);
-    conn.paused = true;
     conn.paused_server = blocked_server;
-    stats_.read_pauses->Increment();
-    UpdateEpoll(conn, /*want_read=*/false);
+    if (!conn.paused) {
+      conn.paused = true;
+      stats_.read_pauses->Increment();
+      UpdateEpoll(conn, /*want_read=*/false);
+    }
     return false;
   }
   stats_.messages_routed->Increment();
@@ -370,8 +373,8 @@ void TcpFrontEnd::ResumePaused(uint64_t server_id) {
     if (!conn.paused || conn.paused_server != server_id) continue;
     std::vector<uint8_t> message = std::move(conn.pending_message);
     conn.pending_message.clear();
+    if (!RouteMessage(conn, std::move(message))) continue;  // still paused
     conn.paused = false;
-    if (!RouteMessage(conn, std::move(message))) continue;  // paused again
     stats_.read_resumes->Increment();
     conn.last_activity = std::chrono::steady_clock::now();
     UpdateEpoll(conn, /*want_read=*/!conn.peer_eof);

@@ -15,104 +15,8 @@ namespace ldp::protocol {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr size_t kItemSize = 10;  // [phase u8][level u8][node u64]
-
-void AppendItem(std::vector<uint8_t>& out, const AheadWireReport& report) {
-  AppendU8(out, report.phase);
-  AppendU8(out, static_cast<uint8_t>(report.level));
-  AppendU64(out, report.node);
-}
-
-// Decodes one fixed-size item, consuming the full slot before validating
-// so batch readers stay aligned across a malformed item.
-bool ReadItem(WireReader& reader, AheadWireReport* report) {
-  uint8_t phase = 0;
-  uint8_t level = 0;
-  uint64_t node = 0;
-  if (!reader.ReadU8(&phase) || !reader.ReadU8(&level) ||
-      !reader.ReadU64(&node)) {
-    return false;
-  }
-  if (phase != 1 && phase != 2) return false;
-  if (level == 0) return false;
-  report->phase = phase;
-  report->level = level;
-  report->node = node;
-  return true;
-}
 
 }  // namespace
-
-std::vector<uint8_t> SerializeAheadReport(const AheadWireReport& report) {
-  std::vector<uint8_t> out;
-  out.reserve(kEnvelopeHeaderSize + kItemSize);
-  AppendEnvelopeHeader(out, MechanismTag::kAheadReport, kItemSize);
-  AppendItem(out, report);
-  return out;
-}
-
-ParseError ParseAheadReportDetailed(std::span<const uint8_t> bytes,
-                                    AheadWireReport* report) {
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
-  if (err != ParseError::kOk) return err;
-  if (env.mechanism != MechanismTag::kAheadReport) {
-    return ParseError::kBadPayload;
-  }
-  if (env.payload.size() != kItemSize) return ParseError::kBadPayload;
-  WireReader reader(env.payload);
-  AheadWireReport out;
-  if (!ReadItem(reader, &out)) return ParseError::kBadPayload;
-  *report = out;
-  return ParseError::kOk;
-}
-
-bool ParseAheadReport(std::span<const uint8_t> bytes,
-                      AheadWireReport* report) {
-  return ParseAheadReportDetailed(bytes, report) == ParseError::kOk;
-}
-
-std::vector<uint8_t> SerializeAheadReportBatch(
-    std::span<const AheadWireReport> reports) {
-  std::vector<uint8_t> payload;
-  payload.reserve(10 + reports.size() * kItemSize);
-  AppendVarU64(payload, reports.size());
-  for (const AheadWireReport& report : reports) {
-    AppendItem(payload, report);
-  }
-  return EncodeEnvelope(MechanismTag::kAheadReportBatch, payload);
-}
-
-ParseError ParseAheadReportBatch(std::span<const uint8_t> bytes,
-                                 std::vector<AheadWireReport>* reports,
-                                 uint64_t* malformed) {
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
-  if (err != ParseError::kOk) return err;
-  if (env.mechanism != MechanismTag::kAheadReportBatch) {
-    return ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint64_t count = 0;
-  if (!reader.ReadVarU64(&count)) return ParseError::kBadPayload;
-  if (count > reader.Remaining() / kItemSize ||
-      reader.Remaining() != count * kItemSize) {
-    return ParseError::kBadPayload;
-  }
-  reports->clear();
-  reports->reserve(count);
-  uint64_t bad = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    AheadWireReport report;
-    if (ReadItem(reader, &report)) {
-      reports->push_back(report);
-    } else {
-      ++bad;
-    }
-  }
-  if (malformed != nullptr) *malformed = bad;
-  return ParseError::kOk;
-}
 
 std::vector<uint8_t> SerializeAheadTree(uint64_t domain, uint64_t fanout,
                                         const AdaptiveTree& tree) {
@@ -201,7 +105,7 @@ AheadWireReport AheadClient::EncodePhase1(uint64_t value, Rng& rng) const {
 
 std::vector<uint8_t> AheadClient::EncodePhase1Serialized(uint64_t value,
                                                          Rng& rng) const {
-  return SerializeAheadReport(EncodePhase1(value, rng));
+  return SerializeReport(AheadLayout{}, EncodePhase1(value, rng));
 }
 
 bool AheadClient::AbsorbTreeDescription(std::span<const uint8_t> bytes) {
@@ -237,7 +141,7 @@ AheadWireReport AheadClient::EncodePhase2(uint64_t value, Rng& rng) const {
 
 std::vector<uint8_t> AheadClient::EncodePhase2Serialized(uint64_t value,
                                                          Rng& rng) const {
-  return SerializeAheadReport(EncodePhase2(value, rng));
+  return SerializeReport(AheadLayout{}, EncodePhase2(value, rng));
 }
 
 std::vector<AheadWireReport> AheadClient::EncodePhase2Users(
@@ -252,7 +156,7 @@ std::vector<AheadWireReport> AheadClient::EncodePhase2Users(
 
 std::vector<uint8_t> AheadClient::EncodePhase2UsersSerialized(
     std::span<const uint64_t> values, Rng& rng) const {
-  return SerializeAheadReportBatch(EncodePhase2Users(values, rng));
+  return SerializeReportBatch(AheadLayout{}, EncodePhase2Users(values, rng));
 }
 
 // --- AheadServer ----------------------------------------------------------
@@ -272,11 +176,6 @@ AheadServer::AheadServer(uint64_t domain, uint64_t fanout, double eps,
 const AdaptiveTree& AheadServer::tree() const {
   LDP_CHECK_MSG(tree_.has_value(), "tree not built yet");
   return *tree_;
-}
-
-std::span<const uint8_t> AheadServer::AcceptedWireVersions() const {
-  static constexpr uint8_t kAccepted[] = {kWireVersionV2};
-  return kAccepted;
 }
 
 bool AheadServer::Absorb(const AheadWireReport& report) {
@@ -308,33 +207,6 @@ bool AheadServer::Absorb(const AheadWireReport& report) {
   }
   stats_.CountAccepted();
   return true;
-}
-
-bool AheadServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
-  AheadWireReport report;
-  if (!ParseAheadReport(bytes, &report)) {
-    stats_.CountRejected();
-    return false;
-  }
-  return Absorb(report);
-}
-
-uint64_t AheadServer::AbsorbBatch(std::span<const AheadWireReport> reports) {
-  uint64_t accepted = 0;
-  for (const AheadWireReport& report : reports) {
-    if (Absorb(report)) ++accepted;
-  }
-  return accepted;
-}
-
-ParseError AheadServer::DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
-                                              uint64_t* accepted) {
-  return IngestBatchMessage<AheadWireReport>(
-      bytes,
-      [](std::span<const uint8_t> b, std::vector<AheadWireReport>* r,
-         uint64_t* m) { return ParseAheadReportBatch(b, r, m); },
-      [this](std::span<const AheadWireReport> r) { return AbsorbBatch(r); },
-      accepted);
 }
 
 std::vector<uint8_t> AheadServer::BuildTree() {

@@ -23,10 +23,9 @@
 //      and serves range / frequency / quantile queries.
 //
 // GRR is the inner oracle on the wire: its report *is* a single node id,
-// which keeps every AHEAD report a fixed 10-byte payload (and batch items
-// realignable); the in-process simulation (core/ahead.h) runs better
-// oracles for large domains. All AHEAD messages are v2-only — the
-// mechanism postdates the envelope, there is no legacy unframed form.
+// which keeps every AHEAD report a fixed 10-byte item (AheadLayout, framed
+// by the shared report codec, report_codec.h); the in-process simulation
+// (core/ahead.h) runs better oracles for large domains.
 //
 // Every parser is total over adversarial bytes: forged phases, forged
 // node ids (out of the coarse domain or a frontier), reports for the
@@ -47,7 +46,8 @@
 #include "core/ahead.h"
 #include "core/badic.h"
 #include "protocol/envelope.h"
-#include "service/aggregator_server.h"
+#include "protocol/report_codec.h"
+#include "protocol/wire.h"
 
 namespace ldp::protocol {
 
@@ -63,30 +63,31 @@ struct AheadWireReport {
   bool operator==(const AheadWireReport&) const = default;
 };
 
-/// Serializes one report under the v2 envelope (kAheadReport, 10-byte
-/// payload [phase u8][level u8][node u64]).
-std::vector<uint8_t> SerializeAheadReport(const AheadWireReport& report);
-
-/// Parses one report with an explicit error code; structural validity
-/// (known phase, nonzero level) is enforced here, level/node range
-/// validation happens server-side where the domains are known.
-ParseError ParseAheadReportDetailed(std::span<const uint8_t> bytes,
-                                    AheadWireReport* report);
-
-/// Convenience wrapper: true iff ParseAheadReportDetailed returns kOk.
-bool ParseAheadReport(std::span<const uint8_t> bytes,
-                      AheadWireReport* report);
-
-/// One framed batch (kAheadReportBatch):
-/// payload = [count varint][count x ([phase u8][level u8][node u64])].
-std::vector<uint8_t> SerializeAheadReportBatch(
-    std::span<const AheadWireReport> reports);
-
-/// Parses a batch; per-item validation failures are skipped and counted
-/// in `malformed` (may be null), structural failures reject the message.
-ParseError ParseAheadReportBatch(std::span<const uint8_t> bytes,
-                                 std::vector<AheadWireReport>* reports,
-                                 uint64_t* malformed = nullptr);
+/// The AHEAD report layout (report_codec.h): [phase u8][level u8]
+/// [node u64] under kAheadReport / kAheadReportBatch. A phase other than
+/// 1 or 2 and level 0 are malformed; level/node range checks happen
+/// server side, where the domains are known.
+struct AheadLayout {
+  using Item = AheadWireReport;
+  static MechanismTag tag() { return MechanismTag::kAheadReport; }
+  static MechanismTag batch_tag() { return MechanismTag::kAheadReportBatch; }
+  static size_t item_size() { return 10; }
+  static void Append(std::vector<uint8_t>& out, const AheadWireReport& report) {
+    AppendU8(out, report.phase);
+    AppendU8(out, static_cast<uint8_t>(report.level));
+    AppendU64(out, report.node);
+  }
+  static bool Read(WireReader& reader, AheadWireReport* report) {
+    uint8_t level = 0;
+    if (!reader.ReadU8(&report->phase) || !reader.ReadU8(&level) ||
+        !reader.ReadU64(&report->node) ||
+        (report->phase != 1 && report->phase != 2) || level == 0) {
+      return false;
+    }
+    report->level = level;
+    return true;
+  }
+};
 
 /// Hard caps ParseAheadTree enforces before reconstructing anything, so a
 /// forged kAheadTree message cannot drive the shape math into overflow or
@@ -160,7 +161,7 @@ struct AheadServerConfig {
 /// BuildTree() -> phase-2 per-frontier GRR aggregation -> Finalize() ->
 /// queries. Ingestion accounting, finalize discipline, and quantile
 /// search come from service::AggregatorServer.
-class AheadServer final : public service::AggregatorServer {
+class AheadServer final : public ReportServer<AheadServer, AheadLayout> {
  public:
   AheadServer(uint64_t domain, uint64_t fanout, double eps,
               const AheadServerConfig& config = {});
@@ -171,19 +172,10 @@ class AheadServer final : public service::AggregatorServer {
   bool tree_built() const { return tree_.has_value(); }
   const AdaptiveTree& tree() const;
 
-  /// AHEAD messages are v2-only (the mechanism postdates the envelope).
-  std::span<const uint8_t> AcceptedWireVersions() const override;
-
   /// Ingests one report; false (counted in rejected_reports) on a phase
   /// that does not match the current era — phase 2 before BuildTree,
   /// phase 1 after — or an out-of-range node id.
   bool Absorb(const AheadWireReport& report);
-  bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
-
-  /// Batched ingestion; returns the number of accepted reports.
-  uint64_t AbsorbBatch(std::span<const AheadWireReport> reports);
-  ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
-                                   uint64_t* accepted) override;
 
   /// Ends phase 1: derives the adaptive tree from the debiased coarse
   /// histogram and returns the serialized kAheadTree broadcast. Idempotent

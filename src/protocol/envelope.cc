@@ -1,77 +1,65 @@
 #include "protocol/envelope.h"
 
-#include <algorithm>
+#include <array>
 
-#include "common/check.h"
 #include "protocol/wire.h"
 
 namespace ldp::protocol {
 
-bool IsKnownMechanismTag(uint8_t tag) {
-  switch (static_cast<MechanismTag>(tag)) {
-    case MechanismTag::kFlatHrr:
-    case MechanismTag::kHaarHrr:
-    case MechanismTag::kTreeHrr:
-    case MechanismTag::kGrr:
-    case MechanismTag::kOue:
-    case MechanismTag::kSue:
-    case MechanismTag::kOlh:
-    case MechanismTag::kAheadReport:
-    case MechanismTag::kAheadTree:
-    case MechanismTag::kMultiDimReport:
-    case MechanismTag::kStreamBegin:
-    case MechanismTag::kStreamChunk:
-    case MechanismTag::kStreamEnd:
-    case MechanismTag::kRangeQueryRequest:
-    case MechanismTag::kRangeQueryResponse:
-    case MechanismTag::kMultiDimQuery:
-    case MechanismTag::kMultiDimQueryResponse:
-    case MechanismTag::kStatsQuery:
-    case MechanismTag::kStatsResponse:
-    case MechanismTag::kStateSnapshot:
-    case MechanismTag::kStateMerge:
-    case MechanismTag::kStateMergeResponse:
-    case MechanismTag::kFlatHrrBatch:
-    case MechanismTag::kHaarHrrBatch:
-    case MechanismTag::kTreeHrrBatch:
-    case MechanismTag::kAheadReportBatch:
-    case MechanismTag::kMultiDimReportBatch:
-      return true;
+namespace {
+
+struct TagName {
+  MechanismTag tag;
+  const char* name;
+};
+
+constexpr TagName kTagNames[] = {
+    {MechanismTag::kFlatHrr, "FlatHrr"},
+    {MechanismTag::kHaarHrr, "HaarHrr"},
+    {MechanismTag::kTreeHrr, "TreeHrr"},
+    {MechanismTag::kGrr, "Grr"},
+    {MechanismTag::kOue, "Oue"},
+    {MechanismTag::kSue, "Sue"},
+    {MechanismTag::kOlh, "Olh"},
+    {MechanismTag::kAheadReport, "AheadReport"},
+    {MechanismTag::kAheadTree, "AheadTree"},
+    {MechanismTag::kMultiDimReport, "MultiDimReport"},
+    {MechanismTag::kStreamBegin, "StreamBegin"},
+    {MechanismTag::kStreamChunk, "StreamChunk"},
+    {MechanismTag::kStreamEnd, "StreamEnd"},
+    {MechanismTag::kRangeQueryRequest, "RangeQueryRequest"},
+    {MechanismTag::kRangeQueryResponse, "RangeQueryResponse"},
+    {MechanismTag::kMultiDimQuery, "MultiDimQuery"},
+    {MechanismTag::kMultiDimQueryResponse, "MultiDimQueryResponse"},
+    {MechanismTag::kStatsQuery, "StatsQuery"},
+    {MechanismTag::kStatsResponse, "StatsResponse"},
+    {MechanismTag::kStateSnapshot, "StateSnapshot"},
+    {MechanismTag::kStateMerge, "StateMerge"},
+    {MechanismTag::kStateMergeResponse, "StateMergeResponse"},
+    {MechanismTag::kFlatHrrBatch, "FlatHrrBatch"},
+    {MechanismTag::kHaarHrrBatch, "HaarHrrBatch"},
+    {MechanismTag::kTreeHrrBatch, "TreeHrrBatch"},
+    {MechanismTag::kAheadReportBatch, "AheadReportBatch"},
+    {MechanismTag::kMultiDimReportBatch, "MultiDimReportBatch"},
+};
+
+// The table indexed by tag byte (null for unknown tags): DecodeEnvelope's
+// known-tag check is one load.
+constexpr std::array<const char*, 256> kNameByTag = [] {
+  std::array<const char*, 256> names{};
+  for (const TagName& entry : kTagNames) {
+    names[static_cast<uint8_t>(entry.tag)] = entry.name;
   }
-  return false;
-}
+  return names;
+}();
+
+}  // namespace
+
+bool IsKnownMechanismTag(uint8_t tag) { return kNameByTag[tag] != nullptr; }
 
 std::string MechanismTagName(MechanismTag tag) {
-  switch (tag) {
-    case MechanismTag::kFlatHrr: return "FlatHrr";
-    case MechanismTag::kHaarHrr: return "HaarHrr";
-    case MechanismTag::kTreeHrr: return "TreeHrr";
-    case MechanismTag::kGrr: return "Grr";
-    case MechanismTag::kOue: return "Oue";
-    case MechanismTag::kSue: return "Sue";
-    case MechanismTag::kOlh: return "Olh";
-    case MechanismTag::kAheadReport: return "AheadReport";
-    case MechanismTag::kAheadTree: return "AheadTree";
-    case MechanismTag::kMultiDimReport: return "MultiDimReport";
-    case MechanismTag::kStreamBegin: return "StreamBegin";
-    case MechanismTag::kStreamChunk: return "StreamChunk";
-    case MechanismTag::kStreamEnd: return "StreamEnd";
-    case MechanismTag::kRangeQueryRequest: return "RangeQueryRequest";
-    case MechanismTag::kRangeQueryResponse: return "RangeQueryResponse";
-    case MechanismTag::kMultiDimQuery: return "MultiDimQuery";
-    case MechanismTag::kMultiDimQueryResponse: return "MultiDimQueryResponse";
-    case MechanismTag::kStatsQuery: return "StatsQuery";
-    case MechanismTag::kStatsResponse: return "StatsResponse";
-    case MechanismTag::kStateSnapshot: return "StateSnapshot";
-    case MechanismTag::kStateMerge: return "StateMerge";
-    case MechanismTag::kStateMergeResponse: return "StateMergeResponse";
-    case MechanismTag::kFlatHrrBatch: return "FlatHrrBatch";
-    case MechanismTag::kHaarHrrBatch: return "HaarHrrBatch";
-    case MechanismTag::kTreeHrrBatch: return "TreeHrrBatch";
-    case MechanismTag::kAheadReportBatch: return "AheadReportBatch";
-    case MechanismTag::kMultiDimReportBatch: return "MultiDimReportBatch";
-  }
-  return "?";
+  const char* name = kNameByTag[static_cast<uint8_t>(tag)];
+  return name != nullptr ? name : "?";
 }
 
 std::string ParseErrorName(ParseError error) {
@@ -134,39 +122,6 @@ ParseError DecodeEnvelope(std::span<const uint8_t> bytes, Envelope* out) {
 bool LooksLikeEnvelope(std::span<const uint8_t> bytes) {
   return bytes.size() >= 2 && bytes[0] == kEnvelopeMagic0 &&
          bytes[1] == kEnvelopeMagic1;
-}
-
-std::span<const uint8_t> ServerAcceptedVersions() {
-  static constexpr uint8_t kAccepted[] = {kWireVersionV1, kWireVersionV2};
-  return kAccepted;
-}
-
-uint8_t NegotiateWireVersion(std::span<const uint8_t> client_supported,
-                             std::span<const uint8_t> server_accepted) {
-  uint8_t best = 0;
-  for (uint8_t c : client_supported) {
-    if (c > best &&
-        std::find(server_accepted.begin(), server_accepted.end(), c) !=
-            server_accepted.end()) {
-      best = c;
-    }
-  }
-  return best;
-}
-
-void DowngradableClient::set_wire_version(uint8_t version) {
-  LDP_CHECK_MSG(version == kWireVersionV1 || version == kWireVersionV2,
-                "unknown wire version");
-  wire_version_ = version;
-}
-
-bool DowngradableClient::NegotiateWireVersion(
-    std::span<const uint8_t> server_accepted) {
-  static constexpr uint8_t kSpoken[] = {kWireVersionV1, kWireVersionV2};
-  uint8_t version = protocol::NegotiateWireVersion(kSpoken, server_accepted);
-  if (version == 0) return false;
-  wire_version_ = version;
-  return true;
 }
 
 }  // namespace ldp::protocol

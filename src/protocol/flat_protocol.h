@@ -1,10 +1,10 @@
 // Deployable client/server split of the flat HRR point-query protocol —
 // the frequency-oracle analogue of haar_protocol.h, useful when only
 // point/short-range queries are needed (paper Section 4.2 shows flat wins
-// there). Each report is one HRR coefficient sample, framed under the
-// versioned v2 envelope (envelope.h); the seed's unframed 10-byte v1
-// format stays decodable so old captures still parse. The server is a
-// wire adapter over core/flat.h's FlatMechanism (hrr_server.h).
+// there). Each report is one HRR coefficient sample (HrrLayout), framed
+// under the v2 envelope by the shared report codec (report_codec.h): 17
+// bytes single, 9 bytes per item in a batch. The server is a wire adapter
+// over core/flat.h's FlatMechanism (hrr_server.h).
 
 #ifndef LDPRANGE_PROTOCOL_FLAT_PROTOCOL_H_
 #define LDPRANGE_PROTOCOL_FLAT_PROTOCOL_H_
@@ -18,38 +18,35 @@
 #include "frequency/hrr.h"
 #include "protocol/envelope.h"
 #include "protocol/hrr_server.h"
+#include "protocol/report_codec.h"
+#include "protocol/wire.h"
 
 namespace ldp::protocol {
 
-/// Serializes an HRR report. v2 (default): 8-byte envelope + payload
-/// [index u64][sign u8], 17 bytes. v1: legacy [tag 0x01][index u64]
-/// [sign u8], 10 bytes.
-std::vector<uint8_t> SerializeHrrReport(const HrrReport& report,
-                                        uint8_t wire_version = kWireVersionV2);
+/// The flat HRR report: one HRR coefficient sample,
+/// [index u64][sign u8] under kFlatHrr / kFlatHrrBatch (report_codec.h).
+struct HrrLayout {
+  using Item = HrrReport;
+  static MechanismTag tag() { return MechanismTag::kFlatHrr; }
+  static MechanismTag batch_tag() { return MechanismTag::kFlatHrrBatch; }
+  static size_t item_size() { return 9; }
+  static void Append(std::vector<uint8_t>& out, const HrrReport& report) {
+    AppendU64(out, report.coefficient_index);
+    AppendU8(out, report.sign > 0 ? 1 : 0);  // 0 -> -1, 1 -> +1
+  }
+  static bool Read(WireReader& reader, HrrReport* report) {
+    uint8_t sign = 0;
+    if (!reader.ReadU64(&report->coefficient_index) ||
+        !reader.ReadU8(&sign) || sign > 1) {
+      return false;
+    }
+    report->sign = sign == 1 ? +1 : -1;
+    return true;
+  }
+};
 
-/// Parses + validates either wire version, routed by the leading bytes.
-/// Returns an explicit error code; total over arbitrary input.
-ParseError ParseHrrReportDetailed(std::span<const uint8_t> bytes,
-                                  HrrReport* report);
-
-/// Convenience wrapper: true iff ParseHrrReportDetailed returns kOk.
-bool ParseHrrReport(std::span<const uint8_t> bytes, HrrReport* report);
-
-/// Serializes many reports as one v2 batch message (kFlatHrrBatch):
-/// payload = [count varint][count x ([index u64][sign u8])].
-std::vector<uint8_t> SerializeHrrReportBatch(std::span<const HrrReport> reports);
-
-/// Parses a v2 batch message. Valid items land in `reports`; items whose
-/// slot decodes but fails validation (bad sign byte) are skipped and
-/// counted in `malformed` (may be null). Structural failures (bad
-/// framing, count/size mismatch) reject the whole message.
-ParseError ParseHrrReportBatch(std::span<const uint8_t> bytes,
-                               std::vector<HrrReport>* reports,
-                               uint64_t* malformed = nullptr);
-
-/// Client-side flat HRR encoder. Wire-version selection and downgrade
-/// negotiation come from DowngradableClient.
-class FlatHrrClient : public DowngradableClient {
+/// Client-side flat HRR encoder.
+class FlatHrrClient {
  public:
   FlatHrrClient(uint64_t domain, double eps);
 
@@ -64,8 +61,7 @@ class FlatHrrClient : public DowngradableClient {
   std::vector<HrrReport> EncodeUsers(std::span<const uint64_t> values,
                                      Rng& rng) const;
 
-  /// Batched encode + one framed v2 batch message (v2-only: the batch
-  /// frame does not exist in v1).
+  /// Batched encode + one framed batch message.
   std::vector<uint8_t> EncodeUsersSerialized(std::span<const uint64_t> values,
                                              Rng& rng) const;
 
@@ -79,7 +75,8 @@ class FlatHrrClient : public DowngradableClient {
 /// FlatMechanism(kHrr), with O(1) post-Finalize range queries. Served
 /// uncertainty is the mechanism's: r items of HRR's exact per-item
 /// variance over the accepted reports.
-class FlatHrrServer final : public HrrMechanismServer {
+class FlatHrrServer final
+    : public ReportServer<FlatHrrServer, HrrLayout, HrrMechanismServer> {
  public:
   FlatHrrServer(uint64_t domain, double eps);
 
@@ -87,15 +84,8 @@ class FlatHrrServer final : public HrrMechanismServer {
 
   /// Ingests one report; false (counted) when out of range.
   bool Absorb(const HrrReport& report) { return AbsorbLevel(1, report); }
-  bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
-
-  /// Batched ingestion; returns the number of accepted reports (rejects
-  /// are counted per report, exactly as the Absorb loop would).
-  uint64_t AbsorbBatch(std::span<const HrrReport> reports);
 
  private:
-  ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
-                                     uint64_t* accepted) override;
   service::StateKind state_kind() const override {
     return service::StateKind::kFlat;
   }

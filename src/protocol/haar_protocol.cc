@@ -28,8 +28,8 @@ LevelHrrReport HaarHrrClient::Encode(uint64_t value, Rng& rng) const {
 
 std::vector<uint8_t> HaarHrrClient::EncodeSerialized(uint64_t value,
                                                      Rng& rng) const {
-  return SerializeLevelHrrReport(MechanismTag::kHaarHrr, Encode(value, rng),
-                                 wire_version_);
+  return SerializeReport(LevelHrrLayout{MechanismTag::kHaarHrr},
+                         Encode(value, rng));
 }
 
 std::vector<LevelHrrReport> HaarHrrClient::EncodeUsers(
@@ -44,10 +44,8 @@ std::vector<LevelHrrReport> HaarHrrClient::EncodeUsers(
 
 std::vector<uint8_t> HaarHrrClient::EncodeUsersSerialized(
     std::span<const uint64_t> values, Rng& rng) const {
-  LDP_CHECK_MSG(wire_version_ == kWireVersionV2,
-                "batch framing requires wire v2");
-  return SerializeLevelHrrReportBatch(MechanismTag::kHaarHrr,
-                                      EncodeUsers(values, rng));
+  return SerializeReportBatch(LevelHrrLayout{MechanismTag::kHaarHrr},
+                              EncodeUsers(values, rng));
 }
 
 HaarHrrServer::HaarHrrServer(uint64_t domain, double eps)

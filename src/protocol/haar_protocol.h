@@ -6,9 +6,9 @@
 //   * HaarHrrClient lives on the user's device, holds only public
 //     parameters, and turns the private value into one serialized report
 //     (level id + Hadamard coefficient index + 1 randomized sign bit, in
-//     the level-HRR codec under the Haar tags — level_hrr.h: 18 bytes
-//     framed, or the legacy unframed 11-byte v1 format after a
-//     downgrade). The report is eps-LDP before it leaves the device.
+//     the level-HRR layout under the Haar tags — level_hrr.h: 18 bytes
+//     framed by the shared report codec, report_codec.h). The report is
+//     eps-LDP before it leaves the device.
 //   * HaarHrrServer ingests serialized reports — rejecting malformed or
 //     out-of-range ones instead of crashing — into a HaarHrrMechanism,
 //     which answers range / prefix / quantile queries after Finalize().
@@ -31,9 +31,8 @@
 
 namespace ldp::protocol {
 
-/// Client-side encoder (stateless between users). Wire-version selection
-/// and downgrade negotiation come from DowngradableClient.
-class HaarHrrClient : public DowngradableClient {
+/// Client-side encoder (stateless between users).
+class HaarHrrClient {
  public:
   HaarHrrClient(uint64_t domain, double eps);
 
@@ -52,7 +51,7 @@ class HaarHrrClient : public DowngradableClient {
   std::vector<LevelHrrReport> EncodeUsers(std::span<const uint64_t> values,
                                           Rng& rng) const;
 
-  /// Batched encode + one framed v2 batch message (v2-only).
+  /// Batched encode + one framed batch message.
   std::vector<uint8_t> EncodeUsersSerialized(std::span<const uint64_t> values,
                                              Rng& rng) const;
 

@@ -68,36 +68,4 @@ service::MergeStatus HrrMechanismServer::DoMergeFrom(
   return service::MergeStatus::kOk;
 }
 
-LevelHrrServer::LevelHrrServer(MechanismTag tag,
-                               std::unique_ptr<RangeMechanism> mechanism)
-    : HrrMechanismServer(std::move(mechanism), /*level_count_in_state=*/true),
-      tag_(tag) {}
-
-bool LevelHrrServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
-  LevelHrrReport report;
-  if (ParseLevelHrrReport(tag_, bytes, &report) != ParseError::kOk) {
-    stats_.CountRejected();
-    return false;
-  }
-  return Absorb(report);
-}
-
-uint64_t LevelHrrServer::AbsorbBatch(std::span<const LevelHrrReport> reports) {
-  uint64_t accepted = 0;
-  for (const LevelHrrReport& report : reports) {
-    if (Absorb(report)) ++accepted;
-  }
-  return accepted;
-}
-
-ParseError LevelHrrServer::DoAbsorbBatchSerialized(
-    std::span<const uint8_t> bytes, uint64_t* accepted) {
-  return IngestBatchMessage<LevelHrrReport>(
-      bytes,
-      [this](std::span<const uint8_t> b, std::vector<LevelHrrReport>* r,
-             uint64_t* m) { return ParseLevelHrrReportBatch(tag_, b, r, m); },
-      [this](std::span<const LevelHrrReport> r) { return AbsorbBatch(r); },
-      accepted);
-}
-
 }  // namespace ldp::protocol

@@ -16,12 +16,14 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "core/range_mechanism.h"
 #include "frequency/hrr.h"
 #include "protocol/level_hrr.h"
+#include "protocol/report_codec.h"
 #include "service/aggregator_server.h"
 
 namespace ldp::protocol {
@@ -87,23 +89,20 @@ class HrrMechanismServer : public service::AggregatorServer {
 
 /// An HrrMechanismServer fed level-sampled reports (level_hrr.h) under
 /// one protocol tag: the shared body of TreeHrrServer and HaarHrrServer.
-class LevelHrrServer : public HrrMechanismServer {
+class LevelHrrServer
+    : public ReportServer<LevelHrrServer, LevelHrrLayout, HrrMechanismServer> {
  public:
   /// Ingests one report; false (counted) on out-of-range level/index.
   bool Absorb(const LevelHrrReport& report) {
     return AbsorbLevel(report.level, report.inner);
   }
-  bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
 
-  /// Batched ingestion; returns the number of accepted reports (rejects
-  /// are counted per report, exactly as the Absorb loop would).
-  uint64_t AbsorbBatch(std::span<const LevelHrrReport> reports);
+  LevelHrrLayout report_layout() const { return LevelHrrLayout{tag_}; }
 
  protected:
-  LevelHrrServer(MechanismTag tag, std::unique_ptr<RangeMechanism> mechanism);
-
-  protocol::ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
-                                               uint64_t* accepted) override;
+  LevelHrrServer(MechanismTag tag, std::unique_ptr<RangeMechanism> mechanism)
+      : ReportServer(std::move(mechanism), /*level_count_in_state=*/true),
+        tag_(tag) {}
 
  private:
   MechanismTag tag_;

@@ -1,28 +1,29 @@
-// Wire codec for level-sampled HRR reports: the report shape shared by
-// the paper's tree (TreeHRR, Section 4.3) and Haar (HaarHRR, Section 4.6)
-// protocols. A user samples one level of the decomposition and sends one
-// HRR coefficient sample for that level — [level u8][index u64][sign u8].
+// The level-sampled HRR report shared by the paper's tree (TreeHRR,
+// Section 4.3) and Haar (HaarHRR, Section 4.6) protocols. A user samples
+// one level of the decomposition and sends one HRR coefficient sample for
+// that level — [level u8][index u64][sign u8].
 //
 // The two protocols differ on the wire only in their tag bytes, so one
-// codec serves both, keyed by the single-report MechanismTag:
+// layout serves both, keyed by the single-report tag:
 //
-//   protocol  single (v2)  batch (v2)  legacy v1 tag byte
-//   Haar      0x02         0x82        0x02
-//   Tree      0x03         0x83        0x03
+//   protocol  single  batch
+//   Haar      0x02    0x82
+//   Tree      0x03    0x83
 //
-// v2 frames the 10-byte item under the 8-byte envelope (18 bytes); v1 is
-// the seed's unframed [tag][item] (11 bytes), still decodable so old
-// captures parse. Range checks against a tree shape happen server side.
+// The shared report codec (report_codec.h) frames the 10-byte item under
+// the envelope: 18 bytes single. Range checks against a tree shape happen
+// server side.
 
 #ifndef LDPRANGE_PROTOCOL_LEVEL_HRR_H_
 #define LDPRANGE_PROTOCOL_LEVEL_HRR_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "frequency/hrr.h"
 #include "protocol/envelope.h"
+#include "protocol/wire.h"
 
 namespace ldp::protocol {
 
@@ -33,32 +34,39 @@ struct LevelHrrReport {
   HrrReport inner;
 };
 
-/// Serializes one report under `tag` (kHaarHrr or kTreeHrr). v2
-/// (default): envelope + 10-byte item. v1: [tag byte][item].
-std::vector<uint8_t> SerializeLevelHrrReport(
-    MechanismTag tag, const LevelHrrReport& report,
-    uint8_t wire_version = kWireVersionV2);
+/// The level-HRR layout under `single` (kHaarHrr or kTreeHrr); its batch
+/// tag sets the high bit. Level 0 and sign bytes above 1 are malformed.
+struct LevelHrrLayout {
+  using Item = LevelHrrReport;
+  MechanismTag single;
 
-/// Parses and validates either wire version of a `tag` report, routed by
-/// the leading bytes. Total over arbitrary input; a message carrying the
-/// other protocol's tag is rejected.
-ParseError ParseLevelHrrReport(MechanismTag tag,
-                               std::span<const uint8_t> bytes,
-                               LevelHrrReport* report);
-
-/// One framed v2 batch message under `tag`'s batch tag:
-/// payload = [count varint][count x item].
-std::vector<uint8_t> SerializeLevelHrrReportBatch(
-    MechanismTag tag, std::span<const LevelHrrReport> reports);
-
-/// Parses a v2 batch message under `tag`'s batch tag. Items whose slot
-/// decodes but fails validation (level 0, bad sign byte) are skipped and
-/// counted in `malformed` (may be null); structural failures (framing,
-/// count/size mismatch) reject the whole message.
-ParseError ParseLevelHrrReportBatch(MechanismTag tag,
-                                    std::span<const uint8_t> bytes,
-                                    std::vector<LevelHrrReport>* reports,
-                                    uint64_t* malformed = nullptr);
+  MechanismTag tag() const {
+    LDP_CHECK(single == MechanismTag::kHaarHrr ||
+              single == MechanismTag::kTreeHrr);
+    return single;
+  }
+  MechanismTag batch_tag() const {
+    return static_cast<MechanismTag>(static_cast<uint8_t>(tag()) | 0x80);
+  }
+  static size_t item_size() { return 10; }
+  static void Append(std::vector<uint8_t>& out, const LevelHrrReport& report) {
+    AppendU8(out, static_cast<uint8_t>(report.level));
+    AppendU64(out, report.inner.coefficient_index);
+    AppendU8(out, report.inner.sign > 0 ? 1 : 0);  // 0 -> -1, 1 -> +1
+  }
+  static bool Read(WireReader& reader, LevelHrrReport* report) {
+    uint8_t level = 0;
+    uint8_t sign = 0;
+    if (!reader.ReadU8(&level) ||
+        !reader.ReadU64(&report->inner.coefficient_index) ||
+        !reader.ReadU8(&sign) || sign > 1 || level == 0) {
+      return false;
+    }
+    report->level = level;
+    report->inner.sign = sign == 1 ? +1 : -1;
+    return true;
+  }
+};
 
 }  // namespace ldp::protocol
 

@@ -15,8 +15,6 @@ namespace ldp::protocol {
 
 namespace {
 
-constexpr size_t kItemTail = 12;  // [seed u64][cell u32]
-
 // Chunked deterministic parallel encode, mirroring the kEncodeChunk /
 // ChunkSeed scheme of core/range_mechanism.cc: every chunk draws from its
 // own seed-derived Rng into its own output slots, so the result cannot
@@ -27,114 +25,7 @@ uint64_t ChunkSeed(uint64_t seed, uint64_t chunk) {
   return Mix64(seed + 0x9E3779B97F4A7C15ULL * (chunk + 1));
 }
 
-void AppendItem(std::vector<uint8_t>& out, const MultiDimReport& report) {
-  for (uint8_t level : report.levels) {
-    AppendU8(out, level);
-  }
-  AppendU64(out, report.seed);
-  AppendU32(out, report.cell);
-}
-
-// Decodes one fixed-size item, consuming the full slot before validating
-// so batch readers stay aligned across a malformed item.
-bool ReadItem(WireReader& reader, uint32_t dims, MultiDimReport* report) {
-  report->levels.resize(dims);
-  bool nontrivial = false;
-  for (uint32_t dim = 0; dim < dims; ++dim) {
-    uint8_t level = 0;
-    if (!reader.ReadU8(&level)) return false;
-    report->levels[dim] = level;
-    if (level != 0) nontrivial = true;
-  }
-  if (!reader.ReadU64(&report->seed) || !reader.ReadU32(&report->cell)) {
-    return false;
-  }
-  return nontrivial;
-}
-
 }  // namespace
-
-std::vector<uint8_t> SerializeMultiDimReport(const MultiDimReport& report) {
-  const size_t dims = report.levels.size();
-  LDP_CHECK_GE(dims, size_t{1});
-  LDP_CHECK_LE(dims, size_t{kMaxWireDimensions});
-  std::vector<uint8_t> payload;
-  payload.reserve(1 + dims + kItemTail);
-  AppendU8(payload, static_cast<uint8_t>(dims));
-  AppendItem(payload, report);
-  return EncodeEnvelope(MechanismTag::kMultiDimReport, payload);
-}
-
-ParseError ParseMultiDimReport(std::span<const uint8_t> bytes,
-                               MultiDimReport* report) {
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
-  if (err != ParseError::kOk) return err;
-  if (env.mechanism != MechanismTag::kMultiDimReport) {
-    return ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint8_t dims = 0;
-  if (!reader.ReadU8(&dims)) return ParseError::kBadPayload;
-  if (dims == 0 || dims > kMaxWireDimensions) return ParseError::kBadPayload;
-  if (env.payload.size() != 1 + size_t{dims} + kItemTail) {
-    return ParseError::kBadPayload;
-  }
-  MultiDimReport out;
-  if (!ReadItem(reader, dims, &out)) return ParseError::kBadPayload;
-  *report = std::move(out);
-  return ParseError::kOk;
-}
-
-std::vector<uint8_t> SerializeMultiDimReportBatch(
-    uint32_t dims, std::span<const MultiDimReport> reports) {
-  LDP_CHECK_GE(dims, 1u);
-  LDP_CHECK_LE(dims, kMaxWireDimensions);
-  std::vector<uint8_t> payload;
-  payload.reserve(11 + reports.size() * (dims + kItemTail));
-  AppendU8(payload, static_cast<uint8_t>(dims));
-  AppendVarU64(payload, reports.size());
-  for (const MultiDimReport& report : reports) {
-    LDP_CHECK_EQ(report.levels.size(), size_t{dims});
-    AppendItem(payload, report);
-  }
-  return EncodeEnvelope(MechanismTag::kMultiDimReportBatch, payload);
-}
-
-ParseError ParseMultiDimReportBatch(std::span<const uint8_t> bytes,
-                                    std::vector<MultiDimReport>* reports,
-                                    uint64_t* malformed) {
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
-  if (err != ParseError::kOk) return err;
-  if (env.mechanism != MechanismTag::kMultiDimReportBatch) {
-    return ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint8_t dims = 0;
-  uint64_t count = 0;
-  if (!reader.ReadU8(&dims)) return ParseError::kBadPayload;
-  if (dims == 0 || dims > kMaxWireDimensions) return ParseError::kBadPayload;
-  if (!reader.ReadVarU64(&count)) return ParseError::kBadPayload;
-  const uint64_t item_size = uint64_t{dims} + kItemTail;
-  if (count > reader.Remaining() / item_size ||
-      reader.Remaining() != count * item_size) {
-    return ParseError::kBadPayload;
-  }
-  reports->clear();
-  reports->reserve(count);
-  uint64_t bad = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    MultiDimReport report;
-    if (ReadItem(reader, dims, &report)) {
-      reports->push_back(std::move(report));
-    } else {
-      ++bad;
-    }
-  }
-  if (malformed != nullptr) *malformed = bad;
-  return ParseError::kOk;
-}
 
 MultiDimClient::MultiDimClient(uint64_t domain_per_dim, uint32_t dimensions,
                                double eps, uint64_t fanout)
@@ -196,7 +87,7 @@ MultiDimReport MultiDimClient::Encode(const uint64_t* coords,
 
 std::vector<uint8_t> MultiDimClient::EncodeSerialized(const uint64_t* coords,
                                                       Rng& rng) const {
-  return SerializeMultiDimReport(Encode(coords, rng));
+  return SerializeReport(MultiDimLayout{dims_}, Encode(coords, rng));
 }
 
 std::vector<MultiDimReport> MultiDimClient::EncodeUsers(
@@ -212,7 +103,7 @@ std::vector<MultiDimReport> MultiDimClient::EncodeUsers(
 
 std::vector<uint8_t> MultiDimClient::EncodeUsersSerialized(
     std::span<const uint64_t> coords, Rng& rng) const {
-  return SerializeMultiDimReportBatch(dims_, EncodeUsers(coords, rng));
+  return SerializeReportBatch(MultiDimLayout{dims_}, EncodeUsers(coords, rng));
 }
 
 std::vector<MultiDimReport> MultiDimClient::EncodeUsersSharded(
@@ -283,11 +174,6 @@ std::string MultiDimServer::Name() const {
   return "MultiDim" + std::to_string(dims_) + "D";
 }
 
-std::span<const uint8_t> MultiDimServer::AcceptedWireVersions() const {
-  static constexpr uint8_t kV2Only[] = {kWireVersionV2};
-  return kV2Only;
-}
-
 uint64_t MultiDimServer::report_allocation_count() const {
   uint64_t total = 0;
   for (const auto& oracle : oracles_) {
@@ -321,99 +207,6 @@ bool MultiDimServer::Absorb(const MultiDimReport& report) {
   oracles_[tuple]->AbsorbReport(report.seed, report.cell);
   stats_.CountAccepted();
   return true;
-}
-
-bool MultiDimServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
-  MultiDimReport report;
-  if (ParseMultiDimReport(bytes, &report) != ParseError::kOk) {
-    stats_.CountRejected();
-    return false;
-  }
-  return Absorb(report);
-}
-
-uint64_t MultiDimServer::AbsorbBatch(
-    std::span<const MultiDimReport> reports) {
-  uint64_t accepted = 0;
-  for (const MultiDimReport& report : reports) {
-    if (Absorb(report)) ++accepted;
-  }
-  return accepted;
-}
-
-ParseError MultiDimServer::DoAbsorbBatchSerialized(
-    std::span<const uint8_t> bytes, uint64_t* accepted) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  // In-place ingestion: items are decoded directly out of the caller's
-  // buffer (a streamed chunk's bytes) and appended straight into the
-  // per-tuple oracles' arena-backed report columns. No MultiDimReport is
-  // materialized and no per-report vector grows — the only allocations on
-  // this path are amortized arena blocks, flat per chunk at steady state.
-  // Accounting is identical to the Parse-then-Absorb route: a structural
-  // failure rejects the whole message; per-item failures (all-root tuple,
-  // bad level, cell >= g, foreign dims) are counted individually.
-  if (accepted != nullptr) *accepted = 0;
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
-  if (err == ParseError::kOk &&
-      env.mechanism != MechanismTag::kMultiDimReportBatch) {
-    err = ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint8_t dims = 0;
-  uint64_t count = 0;
-  if (err == ParseError::kOk) {
-    if (!reader.ReadU8(&dims) || dims == 0 || dims > kMaxWireDimensions ||
-        !reader.ReadVarU64(&count)) {
-      err = ParseError::kBadPayload;
-    } else {
-      const uint64_t item_size = uint64_t{dims} + kItemTail;
-      if (count > reader.Remaining() / item_size ||
-          reader.Remaining() != count * item_size) {
-        err = ParseError::kBadPayload;
-      }
-    }
-  }
-  if (err != ParseError::kOk) {
-    stats_.CountRejected();
-    return err;
-  }
-  if (dims != dims_) {
-    // Structurally valid batch for another dimensionality: every item is
-    // rejected, exactly as the Absorb loop would have.
-    stats_.CountRejected(count);
-    return ParseError::kOk;
-  }
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  uint64_t ok = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t tuple = 0;
-    uint64_t tuple_stride = 1;
-    bool levels_ok = true;
-    for (uint32_t dim = 0; dim < dims_; ++dim) {
-      uint8_t level = 0;
-      levels_ok = reader.ReadU8(&level) && levels_ok;
-      if (level > shape_.height()) {
-        levels_ok = false;
-      } else {
-        tuple += uint64_t{level} * tuple_stride;
-        tuple_stride *= radix;
-      }
-    }
-    uint64_t seed = 0;
-    uint32_t cell = 0;
-    // The size pre-check guarantees every fixed-width read succeeds.
-    LDP_CHECK(reader.ReadU64(&seed) && reader.ReadU32(&cell));
-    if (!levels_ok || tuple == 0 || cell >= g_) {
-      stats_.CountRejected();
-      continue;
-    }
-    oracles_[tuple]->AbsorbReport(seed, cell);
-    stats_.CountAccepted();
-    ++ok;
-  }
-  if (accepted != nullptr) *accepted = ok;
-  return ParseError::kOk;
 }
 
 void MultiDimServer::AppendStateBody(std::vector<uint8_t>& out) const {

@@ -9,68 +9,126 @@
 // cell) pair; every tuple grid shares one hash range g so the client
 // does not need to know which grid the server will route to.
 //
-// Payload layouts (see envelope.h for the surrounding header):
+// Payload layouts (MultiDimLayout, framed by the shared report codec,
+// report_codec.h; see envelope.h for the surrounding header):
 //   kMultiDimReport       [dims u8][dims x level u8][seed u64][cell u32]
 //   kMultiDimReportBatch  [dims u8][count varint]
 //                           [count x (dims x level u8, seed u64, cell u32)]
-// Unlike the 1-D batch messages, dims is hoisted to the batch header —
-// that keeps every item the same fixed size (dims + 12 bytes), so the
-// structural count-vs-bytes check stays exact. All parsers are total
-// over adversarial bytes.
+// Unlike the 1-D layouts, this one has a header: dims is hoisted to the
+// front of the batch — that keeps every item the same fixed size
+// (dims + 12 bytes), so the structural count-vs-bytes check stays exact.
+// All parsers are total over adversarial bytes.
 
 #ifndef LDPRANGE_PROTOCOL_MULTIDIM_PROTOCOL_H_
 #define LDPRANGE_PROTOCOL_MULTIDIM_PROTOCOL_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/random.h"
 #include "core/badic.h"
 #include "core/multidim.h"
 #include "frequency/olh.h"
 #include "protocol/envelope.h"
-#include "service/aggregator_server.h"
+#include "protocol/report_codec.h"
+#include "protocol/wire.h"
 
 namespace ldp::protocol {
+
+/// A report's per-axis levels with fixed capacity kMaxWireDimensions, so
+/// decoding a report never allocates. Slots past size() stay zero.
+class LevelTuple {
+ public:
+  LevelTuple() = default;
+  LevelTuple(std::initializer_list<uint8_t> levels) {
+    resize(levels.size());
+    std::copy(levels.begin(), levels.end(), levels_.begin());
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  void resize(size_t n) {
+    LDP_CHECK_LE(n, levels_.size());
+    std::fill(levels_.begin() + n, levels_.end(), 0);
+    size_ = static_cast<uint8_t>(n);
+  }
+  uint8_t& operator[](size_t i) { return levels_[i]; }
+  uint8_t operator[](size_t i) const { return levels_[i]; }
+  const uint8_t* begin() const { return levels_.data(); }
+  const uint8_t* end() const { return levels_.data() + size_; }
+
+  bool operator==(const LevelTuple&) const = default;
+
+ private:
+  std::array<uint8_t, kMaxWireDimensions> levels_{};
+  uint8_t size_ = 0;
+};
 
 /// One multidim grid report: the sampled per-axis levels (levels[0] is
 /// dimension 0; not all zero — the all-root tuple carries no report) and
 /// the OLH (seed, perturbed cell) pair for that tuple's product grid.
 struct MultiDimReport {
-  std::vector<uint8_t> levels;
+  LevelTuple levels;
   uint64_t seed = 0;
   uint32_t cell = 0;
 
   bool operator==(const MultiDimReport&) const = default;
 };
 
-/// Serializes one report as a framed v2 kMultiDimReport message
-/// (multidim is v2-native; there is no v1 downgrade form).
-std::vector<uint8_t> SerializeMultiDimReport(const MultiDimReport& report);
+/// The multidim report layout: a [dims u8] header (1..kMaxWireDimensions)
+/// and items of dims + 12 bytes. Serializing needs `dims` (every report
+/// must carry exactly that many levels); parsing reads it from the header.
+/// An all-root level tuple is malformed.
+struct MultiDimLayout {
+  using Item = MultiDimReport;
+  uint32_t dims = 0;
 
-/// Total parser; kBadPayload on a wrong tag, a dims outside
-/// [1, kMaxWireDimensions], a size mismatch, or an all-root level tuple.
-ParseError ParseMultiDimReport(std::span<const uint8_t> bytes,
-                               MultiDimReport* report);
+  static MechanismTag tag() { return MechanismTag::kMultiDimReport; }
+  static MechanismTag batch_tag() {
+    return MechanismTag::kMultiDimReportBatch;
+  }
+  size_t item_size() const { return dims + 12; }
+  void AppendHeader(std::vector<uint8_t>& out) const {
+    LDP_CHECK_GE(dims, 1u);
+    LDP_CHECK_LE(dims, kMaxWireDimensions);
+    AppendU8(out, static_cast<uint8_t>(dims));
+  }
+  bool ReadHeader(WireReader& reader) {
+    uint8_t wire_dims = 0;
+    if (!reader.ReadU8(&wire_dims) || wire_dims == 0 ||
+        wire_dims > kMaxWireDimensions) {
+      return false;
+    }
+    dims = wire_dims;
+    return true;
+  }
+  void Append(std::vector<uint8_t>& out, const MultiDimReport& report) const {
+    LDP_CHECK_EQ(report.levels.size(), size_t{dims});
+    for (uint8_t level : report.levels) AppendU8(out, level);
+    AppendU64(out, report.seed);
+    AppendU32(out, report.cell);
+  }
+  bool Read(WireReader& reader, MultiDimReport* report) const {
+    report->levels.resize(dims);
+    bool nontrivial = false;
+    for (uint32_t dim = 0; dim < dims; ++dim) {
+      reader.ReadU8(&report->levels[dim]);
+      nontrivial = nontrivial || report->levels[dim] != 0;
+    }
+    reader.ReadU64(&report->seed);
+    reader.ReadU32(&report->cell);
+    return reader.ok() && nontrivial;
+  }
+};
 
-/// One framed v2 kMultiDimReportBatch message. Every report must carry
-/// exactly `dims` levels; `dims` is taken as a parameter (not from the
-/// first report) so an empty batch still frames.
-std::vector<uint8_t> SerializeMultiDimReportBatch(
-    uint32_t dims, std::span<const MultiDimReport> reports);
-
-/// Parses a v2 batch message; per-item validation failures (an all-root
-/// tuple) are skipped and counted in `malformed` (may be null),
-/// structural failures reject the whole message.
-ParseError ParseMultiDimReportBatch(std::span<const uint8_t> bytes,
-                                    std::vector<MultiDimReport>* reports,
-                                    uint64_t* malformed = nullptr);
-
-/// Client-side encoder. v2-only (no DowngradableClient): the multidim
-/// messages have no v1 form to downgrade to.
+/// Client-side encoder.
 class MultiDimClient {
  public:
   MultiDimClient(uint64_t domain_per_dim, uint32_t dimensions, double eps,
@@ -120,7 +178,8 @@ class MultiDimClient {
 /// Ingestion accounting, finalize discipline, and quantile search come
 /// from service::AggregatorServer; RangeQuery answers are the axis-0
 /// marginal (remaining axes spanning their full domain).
-class MultiDimServer final : public service::AggregatorServer {
+class MultiDimServer final
+    : public ReportServer<MultiDimServer, MultiDimLayout> {
  public:
   MultiDimServer(
       uint64_t domain_per_dim, uint32_t dimensions, double eps,
@@ -134,20 +193,9 @@ class MultiDimServer final : public service::AggregatorServer {
   uint32_t dimensions() const override { return dims_; }
   uint64_t hash_range() const { return g_; }
 
-  /// v2 only: there is no v1 encoding of a multidim report.
-  std::span<const uint8_t> AcceptedWireVersions() const override;
-
   /// Ingests one report; false (counted) on a dims mismatch, an
   /// out-of-range level, an all-root tuple, or a cell >= hash_range().
   bool Absorb(const MultiDimReport& report);
-  bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
-
-  /// Batched ingestion; returns the number of accepted reports (rejects
-  /// are counted per report, exactly as the Absorb loop would).
-  uint64_t AbsorbBatch(std::span<const MultiDimReport> reports);
-
-  ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
-                                   uint64_t* accepted) override;
 
   /// System allocations ever made by the per-tuple pending-report columns.
   /// Arena-backed appends make this flat per absorbed chunk at steady

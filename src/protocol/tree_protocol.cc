@@ -34,8 +34,8 @@ LevelHrrReport TreeHrrClient::Encode(uint64_t value, Rng& rng) const {
 
 std::vector<uint8_t> TreeHrrClient::EncodeSerialized(uint64_t value,
                                                      Rng& rng) const {
-  return SerializeLevelHrrReport(MechanismTag::kTreeHrr, Encode(value, rng),
-                                 wire_version_);
+  return SerializeReport(LevelHrrLayout{MechanismTag::kTreeHrr},
+                         Encode(value, rng));
 }
 
 std::vector<LevelHrrReport> TreeHrrClient::EncodeUsers(
@@ -50,10 +50,8 @@ std::vector<LevelHrrReport> TreeHrrClient::EncodeUsers(
 
 std::vector<uint8_t> TreeHrrClient::EncodeUsersSerialized(
     std::span<const uint64_t> values, Rng& rng) const {
-  LDP_CHECK_MSG(wire_version_ == kWireVersionV2,
-                "batch framing requires wire v2");
-  return SerializeLevelHrrReportBatch(MechanismTag::kTreeHrr,
-                                      EncodeUsers(values, rng));
+  return SerializeReportBatch(LevelHrrLayout{MechanismTag::kTreeHrr},
+                              EncodeUsers(values, rng));
 }
 
 TreeHrrServer::TreeHrrServer(uint64_t domain, uint64_t fanout, double eps,

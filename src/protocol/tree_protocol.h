@@ -5,9 +5,9 @@
 // the cost of only a slight increase in error" versus TreeOUECI.
 //
 // Each report: sampled tree level + one HRR coefficient sample for that
-// level's one-hot node indicator, in the level-HRR codec under the tree
-// tags (level_hrr.h: 18 bytes framed, or the legacy unframed 11-byte v1
-// format after a downgrade). The server validates reports into a core
+// level's one-hot node indicator, in the level-HRR layout under the tree
+// tags (level_hrr.h: 18 bytes framed by the shared report codec,
+// report_codec.h). The server validates reports into a core
 // HierarchicalMechanism, which debiases, applies Section 4.5
 // consistency, and serves range / prefix / quantile queries.
 
@@ -28,9 +28,8 @@
 
 namespace ldp::protocol {
 
-/// Client-side encoder. Wire-version selection and downgrade negotiation
-/// come from DowngradableClient.
-class TreeHrrClient : public DowngradableClient {
+/// Client-side encoder.
+class TreeHrrClient {
  public:
   TreeHrrClient(uint64_t domain, uint64_t fanout, double eps);
 
@@ -44,7 +43,7 @@ class TreeHrrClient : public DowngradableClient {
   std::vector<LevelHrrReport> EncodeUsers(std::span<const uint64_t> values,
                                           Rng& rng) const;
 
-  /// Batched encode + one framed v2 batch message (v2-only).
+  /// Batched encode + one framed batch message.
   std::vector<uint8_t> EncodeUsersSerialized(std::span<const uint64_t> values,
                                              Rng& rng) const;
 

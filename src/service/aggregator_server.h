@@ -5,9 +5,10 @@
 // shape, extracted from the four mechanism servers that used to be
 // copy-alike siblings (FlatHrrServer, HaarHrrServer, TreeHrrServer,
 // AheadServer). Everything a deployment routes by — serialized ingestion,
-// accept/reject accounting, wire-version acceptance, finalize-once
-// discipline, range/frequency/quantile queries — lives here; subclasses
-// only supply the mechanism-specific decode + aggregate + estimate math.
+// accept/reject accounting, finalize-once discipline,
+// range/frequency/quantile queries — lives here; subclasses only supply
+// the mechanism-specific decode + aggregate + estimate math (the report
+// servers get their decode from protocol/report_codec.h's ReportServer).
 //
 // The streaming service (service/aggregator_service.h) hosts any number
 // of AggregatorServer instances and drives them entirely through this
@@ -21,7 +22,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/range_mechanism.h"
@@ -53,10 +53,6 @@ class AggregatorServer {
   /// Number of axes the server's mechanism covers; 1 for the classic 1-D
   /// servers. Boxes handed to BoxQuery* carry dimensions() intervals.
   virtual uint32_t dimensions() const { return 1; }
-
-  /// Wire versions this server's ingestion path accepts (newest last).
-  /// Defaults to the build-wide set; v2-only mechanisms override.
-  virtual std::span<const uint8_t> AcceptedWireVersions() const;
 
   /// Parses + ingests one serialized report; false (counted as a
   /// rejection) on any parse or range failure. Total over arbitrary
@@ -209,31 +205,6 @@ class AggregatorServer {
   /// kStateMismatch when the states themselves disagree (two different
   /// AHEAD trees); the base handles the accept/reject accounting.
   virtual MergeStatus DoMergeFrom(AggregatorServer& other) = 0;
-
-  /// The batch-absorb accounting loop all four servers used to duplicate:
-  /// parse with `parse_batch` (signature of Parse*ReportBatch), reject the
-  /// whole message on a structural failure, otherwise count per-item
-  /// malformed slots as rejections and absorb the rest via `absorb_batch`.
-  template <typename Report, typename ParseBatchFn, typename AbsorbBatchFn>
-  protocol::ParseError IngestBatchMessage(std::span<const uint8_t> bytes,
-                                          ParseBatchFn&& parse_batch,
-                                          AbsorbBatchFn&& absorb_batch,
-                                          uint64_t* accepted) {
-    std::vector<Report> reports;
-    uint64_t malformed = 0;
-    protocol::ParseError err =
-        std::forward<ParseBatchFn>(parse_batch)(bytes, &reports, &malformed);
-    if (err != protocol::ParseError::kOk) {
-      stats_.CountRejected();
-      if (accepted != nullptr) *accepted = 0;
-      return err;
-    }
-    stats_.CountRejected(malformed);
-    uint64_t ok = std::forward<AbsorbBatchFn>(absorb_batch)(
-        std::span<const Report>(reports));
-    if (accepted != nullptr) *accepted = ok;
-    return protocol::ParseError::kOk;
-  }
 
   ServerCounters stats_;
   bool finalized_ = false;

@@ -475,7 +475,7 @@ std::vector<uint8_t> AggregatorService::HandleMultiDimQuery(
 // lock-free atomics; mu_ is taken only to walk entries_.
 std::vector<uint8_t> AggregatorService::HandleStatsQuery(
     std::span<const uint8_t> bytes) {
-  obs::ScopedTimer timer(query_ns_, "service.stats_query");
+  obs::ScopedTimer timer(scrape_ns_, "service.stats_query");
   obs::StatsQuery request;
   obs::StatsResponse response;
   if (obs::ParseStatsQuery(bytes, &request) != protocol::ParseError::kOk) {

@@ -361,12 +361,17 @@ class AggregatorService {
   bool stopping_ = false;
   ServiceCounters stats_{registry_};
   // Ingestion-plane instrumentation: chunks pending across all strands,
-  // admit-to-absorb wait, and end-to-end query handling latency.
+  // admit-to-absorb wait, and end-to-end query and scrape handling
+  // latency.
   obs::Gauge* queue_depth_ = &registry_.GetGauge("service.queue_depth");
   obs::LatencyHistogram* queue_wait_ns_ =
       &registry_.GetHistogram("service.queue_wait_ns");
   obs::LatencyHistogram* query_ns_ =
       &registry_.GetHistogram("service.query_ns");
+  // Stats scrapes time themselves apart from range/box queries, so a
+  // scrape never shows up in the query latency it reports.
+  obs::LatencyHistogram* scrape_ns_ =
+      &registry_.GetHistogram("service.scrape_ns");
   // Merge-plane instrumentation: per-shard snapshot validate+restore,
   // and the whole completed-group reduction (including the hosted fold
   // and any requested finalize).

@@ -22,6 +22,7 @@ namespace ldp {
 namespace {
 
 using protocol::AheadClient;
+using protocol::AheadLayout;
 using protocol::AheadServer;
 using protocol::AheadServerConfig;
 using protocol::AheadWireReport;
@@ -31,9 +32,10 @@ using protocol::ParseError;
 TEST(AheadWire, SingleReportRoundTrips) {
   for (const AheadWireReport report :
        {AheadWireReport{1, 2, 37}, AheadWireReport{2, 3, 12345}}) {
-    std::vector<uint8_t> bytes = protocol::SerializeAheadReport(report);
+    std::vector<uint8_t> bytes =
+        protocol::SerializeReport(AheadLayout{}, report);
     AheadWireReport back;
-    ASSERT_EQ(protocol::ParseAheadReportDetailed(bytes, &back),
+    ASSERT_EQ(protocol::ParseReport(AheadLayout{}, bytes, &back),
               ParseError::kOk);
     EXPECT_EQ(back, report);
   }
@@ -45,25 +47,25 @@ TEST(AheadWire, ParserRejectsStructurallyInvalidReports) {
   AheadWireReport back;
   for (uint8_t phase : {uint8_t{1}, uint8_t{2}}) {
     std::vector<uint8_t> bytes =
-        protocol::SerializeAheadReport(AheadWireReport{phase, 1, 5});
+        protocol::SerializeReport(AheadLayout{}, AheadWireReport{phase, 1, 5});
     bytes[protocol::kEnvelopeHeaderSize + 1] = 0;  // level 0
-    EXPECT_EQ(protocol::ParseAheadReportDetailed(bytes, &back),
+    EXPECT_EQ(protocol::ParseReport(AheadLayout{}, bytes, &back),
               ParseError::kBadPayload);
   }
   std::vector<uint8_t> bad_phase =
-      protocol::SerializeAheadReport(AheadWireReport{2, 1, 5});
+      protocol::SerializeReport(AheadLayout{}, AheadWireReport{2, 1, 5});
   bad_phase[protocol::kEnvelopeHeaderSize] = 7;  // unknown phase
-  EXPECT_EQ(protocol::ParseAheadReportDetailed(bad_phase, &back),
+  EXPECT_EQ(protocol::ParseReport(AheadLayout{}, bad_phase, &back),
             ParseError::kBadPayload);
 }
 
 TEST(AheadWire, TruncationAtEveryOffsetIsRejected) {
   std::vector<uint8_t> bytes =
-      protocol::SerializeAheadReport(AheadWireReport{2, 2, 99});
+      protocol::SerializeReport(AheadLayout{}, AheadWireReport{2, 2, 99});
   AheadWireReport back;
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + cut);
-    EXPECT_NE(protocol::ParseAheadReportDetailed(prefix, &back),
+    EXPECT_NE(protocol::ParseReport(AheadLayout{}, prefix, &back),
               ParseError::kOk)
         << "cut at " << cut;
   }
@@ -72,11 +74,13 @@ TEST(AheadWire, TruncationAtEveryOffsetIsRejected) {
 TEST(AheadWire, BatchRoundTripsAndCountsMalformedItems) {
   std::vector<AheadWireReport> reports = {
       {1, 3, 1}, {2, 1, 2}, {2, 2, 3}};
-  std::vector<uint8_t> bytes = protocol::SerializeAheadReportBatch(reports);
+  std::vector<uint8_t> bytes =
+      protocol::SerializeReportBatch(AheadLayout{}, reports);
   std::vector<AheadWireReport> back;
   uint64_t malformed = 7;
-  ASSERT_EQ(protocol::ParseAheadReportBatch(bytes, &back, &malformed),
-            ParseError::kOk);
+  ASSERT_EQ(
+      protocol::ParseReportBatch(AheadLayout{}, bytes, &back, &malformed),
+      ParseError::kOk);
   EXPECT_EQ(back, reports);
   EXPECT_EQ(malformed, 0u);
 
@@ -85,8 +89,9 @@ TEST(AheadWire, BatchRoundTripsAndCountsMalformedItems) {
   std::vector<uint8_t> corrupt = bytes;
   size_t item1 = protocol::kEnvelopeHeaderSize + 1 + 10;  // count + item 0
   corrupt[item1] = 9;
-  ASSERT_EQ(protocol::ParseAheadReportBatch(corrupt, &back, &malformed),
-            ParseError::kOk);
+  ASSERT_EQ(
+      protocol::ParseReportBatch(AheadLayout{}, corrupt, &back, &malformed),
+      ParseError::kOk);
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0], reports[0]);
   EXPECT_EQ(back[1], reports[2]);

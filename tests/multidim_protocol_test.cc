@@ -14,6 +14,7 @@
 
 #include "common/random.h"
 #include "protocol/envelope.h"
+#include "protocol/report_codec.h"
 #include "service/aggregator_service.h"
 #include "service/server_factory.h"
 #include "service/stream_wire.h"
@@ -22,9 +23,14 @@ namespace ldp {
 namespace {
 
 using protocol::MultiDimClient;
+using protocol::MultiDimLayout;
 using protocol::MultiDimReport;
 using protocol::MultiDimServer;
 using protocol::ParseError;
+using protocol::ParseReport;
+using protocol::ParseReportBatch;
+using protocol::SerializeReport;
+using protocol::SerializeReportBatch;
 using service::AggregatorService;
 using service::MakeAggregatorServer;
 using service::QueryBox;
@@ -32,10 +38,10 @@ using service::QueryStatus;
 using service::ServerKind;
 using service::ServerSpec;
 
-MultiDimReport Report(std::vector<uint8_t> levels, uint64_t seed,
+MultiDimReport Report(protocol::LevelTuple levels, uint64_t seed,
                       uint32_t cell) {
   MultiDimReport report;
-  report.levels = std::move(levels);
+  report.levels = levels;
   report.seed = seed;
   report.cell = cell;
   return report;
@@ -45,48 +51,53 @@ MultiDimReport Report(std::vector<uint8_t> levels, uint64_t seed,
 
 TEST(MultiDimReportWire, RoundTrips) {
   const MultiDimReport report = Report({3, 0, 5}, 0x1122334455667788ULL, 41);
-  std::vector<uint8_t> bytes = SerializeMultiDimReport(report);
+  std::vector<uint8_t> bytes = SerializeReport(MultiDimLayout{3}, report);
   MultiDimReport back;
-  ASSERT_EQ(ParseMultiDimReport(bytes, &back), ParseError::kOk);
+  ASSERT_EQ(ParseReport(MultiDimLayout{}, bytes, &back), ParseError::kOk);
   EXPECT_EQ(back, report);
 }
 
 TEST(MultiDimReportWire, TruncationAtEveryOffsetIsRejected) {
   std::vector<uint8_t> bytes =
-      SerializeMultiDimReport(Report({1, 2}, 99, 3));
+      SerializeReport(MultiDimLayout{2}, Report({1, 2}, 99, 3));
   MultiDimReport out;
   for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_NE(ParseMultiDimReport(
-                  std::span<const uint8_t>(bytes.data(), len), &out),
+    EXPECT_NE(ParseReport(MultiDimLayout{},
+                          std::span<const uint8_t>(bytes.data(), len), &out),
               ParseError::kOk)
         << "accepted a " << len << "-byte prefix";
   }
 }
 
 TEST(MultiDimReportWire, RejectsForgedDimsAndAllRootTuple) {
-  std::vector<uint8_t> bytes = SerializeMultiDimReport(Report({1, 2}, 7, 0));
+  std::vector<uint8_t> bytes =
+      SerializeReport(MultiDimLayout{2}, Report({1, 2}, 7, 0));
   const size_t payload = protocol::kEnvelopeHeaderSize;
   MultiDimReport out;
 
   std::vector<uint8_t> zero_dims = bytes;
   zero_dims[payload] = 0;
-  EXPECT_EQ(ParseMultiDimReport(zero_dims, &out), ParseError::kBadPayload);
+  EXPECT_EQ(ParseReport(MultiDimLayout{}, zero_dims, &out),
+            ParseError::kBadPayload);
 
   std::vector<uint8_t> too_many = bytes;
   too_many[payload] = protocol::kMaxWireDimensions + 1;
-  EXPECT_EQ(ParseMultiDimReport(too_many, &out), ParseError::kBadPayload);
+  EXPECT_EQ(ParseReport(MultiDimLayout{}, too_many, &out),
+            ParseError::kBadPayload);
 
   // The all-root tuple carries no report by construction.
   std::vector<uint8_t> all_root = bytes;
   all_root[payload + 1] = 0;
   all_root[payload + 2] = 0;
-  EXPECT_EQ(ParseMultiDimReport(all_root, &out), ParseError::kBadPayload);
+  EXPECT_EQ(ParseReport(MultiDimLayout{}, all_root, &out),
+            ParseError::kBadPayload);
 
   // Wrong tag for this parser.
-  EXPECT_EQ(ParseMultiDimReport(
-                SerializeMultiDimReportBatch(
-                    2, std::vector<MultiDimReport>{Report({1, 2}, 7, 0)}),
-                &out),
+  EXPECT_EQ(ParseReport(MultiDimLayout{},
+                        SerializeReportBatch(MultiDimLayout{2},
+                                             std::vector<MultiDimReport>{
+                                                 Report({1, 2}, 7, 0)}),
+                        &out),
             ParseError::kBadPayload);
 }
 
@@ -96,17 +107,18 @@ TEST(MultiDimBatchWire, RoundTripsIncludingEmpty) {
   const std::vector<MultiDimReport> reports = {
       Report({1, 0}, 11, 0), Report({0, 4}, 22, 9),
       Report({2, 2}, 0xFFFFFFFFFFFFFFFFULL, 0xFFFFFFFFu)};
-  std::vector<uint8_t> bytes = SerializeMultiDimReportBatch(2, reports);
+  std::vector<uint8_t> bytes = SerializeReportBatch(MultiDimLayout{2}, reports);
   std::vector<MultiDimReport> back;
   uint64_t malformed = 5;
-  ASSERT_EQ(ParseMultiDimReportBatch(bytes, &back, &malformed),
+  ASSERT_EQ(ParseReportBatch(MultiDimLayout{}, bytes, &back, &malformed),
             ParseError::kOk);
   EXPECT_EQ(back, reports);
   EXPECT_EQ(malformed, 0u);
 
   std::vector<uint8_t> empty =
-      SerializeMultiDimReportBatch(3, std::span<const MultiDimReport>());
-  ASSERT_EQ(ParseMultiDimReportBatch(empty, &back, &malformed),
+      SerializeReportBatch(MultiDimLayout{3},
+                           std::span<const MultiDimReport>());
+  ASSERT_EQ(ParseReportBatch(MultiDimLayout{}, empty, &back, &malformed),
             ParseError::kOk);
   EXPECT_TRUE(back.empty());
 }
@@ -117,7 +129,7 @@ TEST(MultiDimBatchWire, SkipsAndCountsMalformedItems) {
   // on the items after it.
   const std::vector<MultiDimReport> reports = {
       Report({1, 0}, 11, 1), Report({0, 4}, 22, 2), Report({3, 3}, 33, 3)};
-  std::vector<uint8_t> bytes = SerializeMultiDimReportBatch(2, reports);
+  std::vector<uint8_t> bytes = SerializeReportBatch(MultiDimLayout{2}, reports);
   // Header, dims byte, count varint (1 byte for 3), then item 0 (2 + 12
   // bytes); item 1's levels start right after.
   const size_t item1_levels = protocol::kEnvelopeHeaderSize + 2 + 14;
@@ -125,7 +137,7 @@ TEST(MultiDimBatchWire, SkipsAndCountsMalformedItems) {
   bytes[item1_levels + 1] = 0;
   std::vector<MultiDimReport> back;
   uint64_t malformed = 0;
-  ASSERT_EQ(ParseMultiDimReportBatch(bytes, &back, &malformed),
+  ASSERT_EQ(ParseReportBatch(MultiDimLayout{}, bytes, &back, &malformed),
             ParseError::kOk);
   EXPECT_EQ(malformed, 1u);
   ASSERT_EQ(back.size(), 2u);
@@ -135,23 +147,24 @@ TEST(MultiDimBatchWire, SkipsAndCountsMalformedItems) {
 
 TEST(MultiDimBatchWire, RejectsForgedCountsAndTruncation) {
   const std::vector<MultiDimReport> reports = {Report({1, 1}, 5, 0)};
-  std::vector<uint8_t> bytes = SerializeMultiDimReportBatch(2, reports);
+  std::vector<uint8_t> bytes = SerializeReportBatch(MultiDimLayout{2}, reports);
   std::vector<MultiDimReport> back;
 
   // A count that promises more items than the bytes can hold.
   std::vector<uint8_t> forged = bytes;
   forged[protocol::kEnvelopeHeaderSize + 1] = 200;
-  EXPECT_EQ(ParseMultiDimReportBatch(forged, &back, nullptr),
+  EXPECT_EQ(ParseReportBatch(MultiDimLayout{}, forged, &back),
             ParseError::kBadPayload);
 
   // Trailing garbage after the declared items.
   std::vector<uint8_t> padded = bytes;
   padded.push_back(0);
-  EXPECT_NE(ParseMultiDimReportBatch(padded, &back, nullptr), ParseError::kOk);
+  EXPECT_NE(ParseReportBatch(MultiDimLayout{}, padded, &back), ParseError::kOk);
 
   for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_NE(ParseMultiDimReportBatch(
-                  std::span<const uint8_t>(bytes.data(), len), &back, nullptr),
+    EXPECT_NE(ParseReportBatch(MultiDimLayout{},
+                               std::span<const uint8_t>(bytes.data(), len),
+                               &back),
               ParseError::kOk)
         << "accepted a " << len << "-byte prefix";
   }
@@ -179,8 +192,11 @@ TEST(MultiDimClientServer, RecoversRectangleMass) {
                      static_cast<uint64_t>((i / 2) % 16)});
     }
   }
-  EXPECT_EQ(server.AbsorbBatch(client.EncodeUsers(coords, rng)),
-            static_cast<uint64_t>(n));
+  uint64_t accepted = 0;
+  for (const MultiDimReport& report : client.EncodeUsers(coords, rng)) {
+    accepted += server.Absorb(report);
+  }
+  EXPECT_EQ(accepted, static_cast<uint64_t>(n));
   server.Finalize();
   const AxisInterval point[2] = {{5, 5}, {9, 9}};
   const AxisInterval quadrant[2] = {{16, 31}, {0, 15}};
@@ -225,13 +241,6 @@ TEST(MultiDimClientServer, RejectsInvalidReportsWithAccounting) {
   // Serialized single-report path: garbage bytes are a counted reject.
   EXPECT_FALSE(server.AbsorbSerialized(std::vector<uint8_t>{1, 2, 3}));
   EXPECT_EQ(server.rejected_reports(), 6u);
-}
-
-TEST(MultiDimClientServer, ServerIsV2Only) {
-  MultiDimServer server(16, 2, 1.0);
-  std::span<const uint8_t> versions = server.AcceptedWireVersions();
-  ASSERT_EQ(versions.size(), 1u);
-  EXPECT_EQ(versions[0], protocol::kWireVersionV2);
 }
 
 // --- Query plane wire structs -------------------------------------------
@@ -315,7 +324,9 @@ TEST(MultiDimService, StreamedIngestMatchesInProcessBitForBit) {
       client.EncodeUsersSharded(coords, /*seed=*/17);
 
   MultiDimServer in_process(kDomain, 2, kEps);
-  EXPECT_EQ(in_process.AbsorbBatch(reports), reports.size());
+  for (const MultiDimReport& report : reports) {
+    ASSERT_TRUE(in_process.Absorb(report));
+  }
   in_process.Finalize();
 
   const std::vector<std::pair<AxisInterval, AxisInterval>> rects = {
@@ -333,9 +344,10 @@ TEST(MultiDimService, StreamedIngestMatchesInProcessBitForBit) {
       const size_t count = std::min(kPerChunk, reports.size() - begin);
       service.HandleMessage(service::SerializeStreamChunk(
           kSession, sequence++,
-          SerializeMultiDimReportBatch(
-              2, std::span<const MultiDimReport>(reports).subspan(begin,
-                                                                  count))));
+          SerializeReportBatch(
+              MultiDimLayout{2},
+              std::span<const MultiDimReport>(reports).subspan(begin,
+                                                               count))));
     }
     service.HandleMessage(service::SerializeStreamEnd(
         {kSession, sequence, service::kStreamFlagFinalize}));

@@ -152,7 +152,8 @@ class GatedServer : public AggregatorServer {
                                              uint64_t* accepted) override {
     absorbing_.store(true, std::memory_order_release);
     std::unique_lock<std::mutex> lock(mu_);
-    gate_cv_.wait(lock, [&] { return open_; });
+    gate_cv_.wait(lock, [&] { return open_ || permits_ > 0; });
+    if (!open_) --permits_;
     batches_.fetch_add(1, std::memory_order_relaxed);
     if (accepted != nullptr) *accepted = 1;
     return protocol::ParseError::kOk;
@@ -167,6 +168,14 @@ class GatedServer : public AggregatorServer {
     {
       std::lock_guard<std::mutex> lock(mu_);
       open_ = true;
+    }
+    gate_cv_.notify_all();
+  }
+  // Lets exactly one more batch through the closed gate.
+  void Step() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++permits_;
     }
     gate_cv_.notify_all();
   }
@@ -196,6 +205,7 @@ class GatedServer : public AggregatorServer {
   std::mutex mu_;
   std::condition_variable gate_cv_;
   bool open_ = false;
+  uint64_t permits_ = 0;
   std::atomic<bool> absorbing_{false};
   std::atomic<uint64_t> batches_{0};
 };
@@ -381,6 +391,58 @@ TEST(NetBackpressure, ForcedSocketPauseStillBitIdentical) {
   EXPECT_EQ(stats.duplicate_chunks, 0u);    // re-present admitted once
   EXPECT_EQ(stats.incomplete_streams, 0u);
   EXPECT_EQ(gated->batches(), 3u);  // every gated chunk absorbed once
+}
+
+TEST(NetBackpressure, RePauseOnResumeCountsOnePause) {
+  // Two connections pause on one gated server with a 1-slot queue. One
+  // drain re-routes both parked chunks: the first takes the freed slot,
+  // the second blocks again. That re-block is the same pause, so once
+  // everything drains every pause has exactly one resume.
+  auto owned = std::make_unique<GatedServer>();
+  GatedServer* gated = owned.get();
+  AggregatorService svc(/*worker_threads=*/2, /*queue_high_water=*/1);
+  const uint64_t gated_id = svc.AddServer(std::move(owned));
+  TcpFrontEnd front(svc);
+  ASSERT_TRUE(front.Start());
+  const std::vector<uint8_t> tiny = {0xAB};
+
+  // Connection A: chunk 0 parks the worker in the gate, chunk 1 fills
+  // the queue, chunk 2 pauses A.
+  TcpClient a;
+  ASSERT_TRUE(a.Connect("127.0.0.1", front.port()));
+  ASSERT_TRUE(a.Send(service::SerializeStreamBegin({40, gated_id})));
+  ASSERT_TRUE(a.Send(service::SerializeStreamChunk(40, 0, tiny)));
+  ASSERT_TRUE(EventuallyTrue([&] { return gated->absorbing(); }));
+  ASSERT_TRUE(a.Send(service::SerializeStreamChunk(40, 1, tiny)));
+  ASSERT_TRUE(a.Send(service::SerializeStreamChunk(40, 2, tiny)));
+  ASSERT_TRUE(EventuallyTrue([&] { return front.stats().read_pauses == 1; }));
+  // Connection B: its first chunk pauses B on the same server.
+  TcpClient b;
+  ASSERT_TRUE(b.Connect("127.0.0.1", front.port()));
+  ASSERT_TRUE(b.Send(service::SerializeStreamBegin({41, gated_id})));
+  ASSERT_TRUE(b.Send(service::SerializeStreamChunk(41, 0, tiny)));
+  ASSERT_TRUE(EventuallyTrue([&] { return front.stats().read_pauses == 2; }));
+
+  // One batch through: the strand takes chunk 1 and parks on it, the
+  // drain re-routes both parked chunks into the one free slot.
+  gated->Step();
+  ASSERT_TRUE(EventuallyTrue([&] { return svc.stats().socket_pauses == 3; }));
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return front.stats().read_resumes == 1; }));
+  EXPECT_EQ(front.stats().read_pauses, 2u);
+
+  gated->Open();
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return front.stats().read_resumes == 2; }));
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return svc.stats().chunks_absorbed == 4; }));
+  svc.Drain();
+  front.Stop();
+
+  EXPECT_EQ(front.stats().read_pauses, front.stats().read_resumes);
+  EXPECT_EQ(front.stats().read_pauses, 2u);
+  EXPECT_EQ(gated->batches(), 4u);  // every chunk absorbed exactly once
+  EXPECT_EQ(svc.stats().duplicate_chunks, 0u);
 }
 
 // --- Session-cap churn: TCP path vs in-process path ------------------

@@ -10,6 +10,7 @@
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
 #include "protocol/level_hrr.h"
+#include "protocol/report_codec.h"
 #include "protocol/tree_protocol.h"
 #include "protocol/wire.h"
 #include "service/server_factory.h"
@@ -23,13 +24,13 @@ using protocol::HaarHrrClient;
 using protocol::HaarHrrServer;
 using protocol::LevelHrrReport;
 using protocol::ParseError;
-using protocol::ParseHrrReport;
-using protocol::ParseLevelHrrReport;
-using protocol::SerializeHrrReport;
-using protocol::SerializeLevelHrrReport;
+using protocol::HrrLayout;
+using protocol::LevelHrrLayout;
+using protocol::ParseReport;
+using protocol::SerializeReport;
 using protocol::WireReader;
 
-constexpr protocol::MechanismTag kHaar = protocol::MechanismTag::kHaarHrr;
+constexpr LevelHrrLayout kHaar{protocol::MechanismTag::kHaarHrr};
 
 TEST(Wire, RoundTripIntegers) {
   std::vector<uint8_t> buf;
@@ -174,7 +175,9 @@ TEST(ProtocolSerialization, HrrReportRoundTrip) {
   for (int sign : {-1, +1}) {
     HrrReport report{123456789ULL, static_cast<int8_t>(sign)};
     HrrReport back;
-    ASSERT_TRUE(ParseHrrReport(SerializeHrrReport(report), &back));
+    ASSERT_EQ(ParseReport(HrrLayout{}, SerializeReport(HrrLayout{}, report),
+                          &back),
+              ParseError::kOk);
     EXPECT_EQ(back.coefficient_index, report.coefficient_index);
     EXPECT_EQ(back.sign, report.sign);
   }
@@ -185,8 +188,7 @@ TEST(ProtocolSerialization, HaarReportRoundTrip) {
   report.level = 7;
   report.inner = {42, -1};
   LevelHrrReport back;
-  ASSERT_EQ(ParseLevelHrrReport(
-                kHaar, SerializeLevelHrrReport(kHaar, report), &back),
+  ASSERT_EQ(ParseReport(kHaar, SerializeReport(kHaar, report), &back),
             ParseError::kOk);
   EXPECT_EQ(back.level, 7u);
   EXPECT_EQ(back.inner.coefficient_index, 42u);
@@ -198,36 +200,31 @@ TEST(ProtocolSerialization, RejectsMalformedBuffers) {
   report.level = 3;
   report.inner = {5, +1};
   LevelHrrReport out;
-  for (uint8_t version :
-       {protocol::kWireVersionV1, protocol::kWireVersionV2}) {
-    SCOPED_TRACE(int(version));
-    std::vector<uint8_t> good = SerializeLevelHrrReport(kHaar, report, version);
-    // v2 payload starts after the 8-byte envelope header; v1 after the
-    // 1-byte tag.
-    size_t body = version == protocol::kWireVersionV2 ? 8 : 1;
-    // Truncations at every length.
-    for (size_t len = 0; len < good.size(); ++len) {
-      std::vector<uint8_t> cut(good.begin(), good.begin() + len);
-      EXPECT_NE(ParseLevelHrrReport(kHaar, cut, &out), ParseError::kOk)
-          << "len=" << len;
-    }
-    // Trailing garbage.
-    std::vector<uint8_t> extended = good;
-    extended.push_back(0);
-    EXPECT_NE(ParseLevelHrrReport(kHaar, extended, &out), ParseError::kOk);
-    // Wrong leading byte (magic in v2, tag in v1).
-    std::vector<uint8_t> wrong_tag = good;
-    wrong_tag[0] = 0x7F;
-    EXPECT_NE(ParseLevelHrrReport(kHaar, wrong_tag, &out), ParseError::kOk);
-    // Bad sign byte.
-    std::vector<uint8_t> bad_sign = good;
-    bad_sign.back() = 2;
-    EXPECT_NE(ParseLevelHrrReport(kHaar, bad_sign, &out), ParseError::kOk);
-    // Level zero is invalid.
-    std::vector<uint8_t> bad_level = good;
-    bad_level[body] = 0;
-    EXPECT_NE(ParseLevelHrrReport(kHaar, bad_level, &out), ParseError::kOk);
+  std::vector<uint8_t> good = SerializeReport(kHaar, report);
+  // The payload starts after the 8-byte envelope header.
+  const size_t body = protocol::kEnvelopeHeaderSize;
+  // Truncations at every length.
+  for (size_t len = 0; len < good.size(); ++len) {
+    std::vector<uint8_t> cut(good.begin(), good.begin() + len);
+    EXPECT_NE(ParseReport(kHaar, cut, &out), ParseError::kOk)
+        << "len=" << len;
   }
+  // Trailing garbage.
+  std::vector<uint8_t> extended = good;
+  extended.push_back(0);
+  EXPECT_NE(ParseReport(kHaar, extended, &out), ParseError::kOk);
+  // Wrong leading (magic) byte.
+  std::vector<uint8_t> wrong_tag = good;
+  wrong_tag[0] = 0x7F;
+  EXPECT_NE(ParseReport(kHaar, wrong_tag, &out), ParseError::kOk);
+  // Bad sign byte.
+  std::vector<uint8_t> bad_sign = good;
+  bad_sign.back() = 2;
+  EXPECT_NE(ParseReport(kHaar, bad_sign, &out), ParseError::kOk);
+  // Level zero is invalid.
+  std::vector<uint8_t> bad_level = good;
+  bad_level[body] = 0;
+  EXPECT_NE(ParseReport(kHaar, bad_level, &out), ParseError::kOk);
 }
 
 TEST(ProtocolSerialization, FuzzedBuffersNeverCrash) {
@@ -242,10 +239,10 @@ TEST(ProtocolSerialization, FuzzedBuffersNeverCrash) {
     for (uint8_t& b : junk) {
       b = static_cast<uint8_t>(rng.UniformInt(256));
     }
-    if (ParseHrrReport(junk, &flat_out)) {
+    if (ParseReport(HrrLayout{}, junk, &flat_out) == ParseError::kOk) {
       EXPECT_TRUE(flat_out.sign == 1 || flat_out.sign == -1);
     }
-    if (ParseLevelHrrReport(kHaar, junk, &haar_out) == ParseError::kOk) {
+    if (ParseReport(kHaar, junk, &haar_out) == ParseError::kOk) {
       EXPECT_GE(haar_out.level, 1u);
       EXPECT_TRUE(haar_out.inner.sign == 1 || haar_out.inner.sign == -1);
     }
@@ -397,17 +394,11 @@ TEST(FlatProtocol, ReportSizesArePinnedPerVersion) {
   Rng rng(17);
   FlatHrrClient client(1 << 20, 1.0);
   HaarHrrClient haar_client(1 << 20, 1.0);
-  // v2 (default): 8-byte envelope + fixed payload.
+  // 8-byte envelope + fixed payload.
   EXPECT_EQ(client.EncodeSerialized(12345, rng).size(), 17u);
   EXPECT_EQ(haar_client.EncodeSerialized(12345, rng).size(), 18u);
-  // Legacy v1 framing after a downgrade: the seed's 10/11 bytes.
-  client.set_wire_version(protocol::kWireVersionV1);
-  haar_client.set_wire_version(protocol::kWireVersionV1);
-  EXPECT_EQ(client.EncodeSerialized(12345, rng).size(), 10u);
-  EXPECT_EQ(haar_client.EncodeSerialized(12345, rng).size(), 11u);
   // Batch framing amortizes the envelope: header + count varint + 9
   // bytes per report.
-  client.set_wire_version(protocol::kWireVersionV2);
   std::vector<uint64_t> values(200, 5);
   EXPECT_EQ(client.EncodeUsersSerialized(values, rng).size(),
             8u + 2u + 200u * 9u);  // count 200 is a 2-byte varint

@@ -252,9 +252,11 @@ TEST(ServiceEndToEnd, AheadTwoPhaseStreamedMatchesInProcess) {
     std::vector<protocol::AheadWireReport> reports;
     for (uint64_t v : phase1) reports.push_back(client.EncodePhase1(v, rng));
     size_t half = reports.size() / 2;
-    phase1_chunks.push_back(protocol::SerializeAheadReportBatch(
+    phase1_chunks.push_back(protocol::SerializeReportBatch(
+        protocol::AheadLayout{},
         std::span<const protocol::AheadWireReport>(reports.data(), half)));
-    phase1_chunks.push_back(protocol::SerializeAheadReportBatch(
+    phase1_chunks.push_back(protocol::SerializeReportBatch(
+        protocol::AheadLayout{},
         std::span<const protocol::AheadWireReport>(reports.data() + half,
                                                    reports.size() - half)));
   }
@@ -272,9 +274,11 @@ TEST(ServiceEndToEnd, AheadTwoPhaseStreamedMatchesInProcess) {
     std::vector<protocol::AheadWireReport> reports =
         client.EncodePhase2Users(phase2, rng);
     size_t half = reports.size() / 2;
-    phase2_chunks.push_back(protocol::SerializeAheadReportBatch(
+    phase2_chunks.push_back(protocol::SerializeReportBatch(
+        protocol::AheadLayout{},
         std::span<const protocol::AheadWireReport>(reports.data(), half)));
-    phase2_chunks.push_back(protocol::SerializeAheadReportBatch(
+    phase2_chunks.push_back(protocol::SerializeReportBatch(
+        protocol::AheadLayout{},
         std::span<const protocol::AheadWireReport>(reports.data() + half,
                                                    reports.size() - half)));
   }
@@ -443,8 +447,9 @@ TEST(ServiceRouting, UnroutableMessagesAreCountedNotCrashed) {
   const uint8_t junk[] = {0x00, 0x01, 0x02};
   EXPECT_TRUE(svc.HandleMessage(junk).empty());
   HrrReport report{3, +1};
-  EXPECT_TRUE(
-      svc.HandleMessage(protocol::SerializeHrrReport(report)).empty());
+  EXPECT_TRUE(svc.HandleMessage(
+                     protocol::SerializeReport(protocol::HrrLayout{}, report))
+                  .empty());
   EXPECT_EQ(svc.stats().malformed_messages, 2u);
 }
 

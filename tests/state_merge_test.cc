@@ -244,7 +244,7 @@ TEST(StateSnapshot, AheadDistributedTwoPhaseMatchesSingleProcess) {
     Rng rng(seed);
     std::vector<protocol::AheadWireReport> reports;
     for (uint64_t v : share) reports.push_back(client.EncodePhase1(v, rng));
-    return protocol::SerializeAheadReportBatch(reports);
+    return protocol::SerializeReportBatch(protocol::AheadLayout{}, reports);
   };
 
   const uint64_t p1_share = phase1.size() / kShards;
@@ -264,7 +264,8 @@ TEST(StateSnapshot, AheadDistributedTwoPhaseMatchesSingleProcess) {
     Rng rng(0xBB + s);
     std::vector<protocol::AheadWireReport> reports =
         client.EncodePhase2Users(phase2.subspan(s * p2_share, p2_share), rng);
-    phase2_batches.push_back(protocol::SerializeAheadReportBatch(reports));
+    phase2_batches.push_back(
+        protocol::SerializeReportBatch(protocol::AheadLayout{}, reports));
   }
   for (const auto& batch : phase2_batches) {
     ASSERT_EQ(reference.AbsorbBatchSerialized(batch), ParseError::kOk);
@@ -326,8 +327,8 @@ TEST(StateSnapshot, AheadTwoDifferentTreesRefuseToMerge) {
       uint64_t v = lumpy ? 0 : rng.UniformInt(kDomain);
       reports.push_back(client.EncodePhase1(v, rng));
     }
-    EXPECT_EQ(server->AbsorbBatchSerialized(
-                  protocol::SerializeAheadReportBatch(reports)),
+    EXPECT_EQ(server->AbsorbBatchSerialized(protocol::SerializeReportBatch(
+                  protocol::AheadLayout{}, reports)),
               ParseError::kOk);
     dynamic_cast<protocol::AheadServer&>(*server).BuildTree();
     return server;

@@ -243,6 +243,24 @@ TEST(StatsPlane, HandleStatsQueryServesServiceAndServerMetrics) {
   const obs::GaugeValue* depth = m.FindGauge("service.queue_depth");
   ASSERT_NE(depth, nullptr);
   EXPECT_EQ(depth->value, 0);
+
+  // Scrapes time themselves into service.scrape_ns, never into the
+  // range/box query histogram: one range query, then kScrapes scrapes.
+  ASSERT_NE(m.FindHistogram("service.scrape_ns"), nullptr);
+  service::RangeQueryRequest query;
+  query.server_id = server_id;
+  query.intervals = {{0, kDomain - 1}};
+  svc.HandleMessage(service::SerializeRangeQueryRequest(query));
+  auto count = [&](const char* name) {
+    return svc.registry().GetHistogram(name).Snapshot().count;
+  };
+  const uint64_t queries = count("service.query_ns");
+  const uint64_t scrapes = count("service.scrape_ns");
+  EXPECT_EQ(queries, 1u);
+  constexpr uint64_t kScrapes = 5;
+  for (uint64_t i = 0; i < kScrapes; ++i) Scrape(svc, 0, 100 + i);
+  EXPECT_EQ(count("service.query_ns"), queries);
+  EXPECT_EQ(count("service.scrape_ns"), scrapes + kScrapes);
 }
 
 TEST(StatsPlane, IncludeGlobalFlagMergesTheProcessRegistry) {

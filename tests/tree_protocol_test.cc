@@ -8,26 +8,27 @@
 #include "common/random.h"
 #include "core/hierarchical.h"
 #include "protocol/level_hrr.h"
+#include "protocol/report_codec.h"
 
 namespace ldp {
 namespace {
 
 using protocol::LevelHrrReport;
 using protocol::ParseError;
-using protocol::ParseLevelHrrReport;
-using protocol::SerializeLevelHrrReport;
+using protocol::LevelHrrLayout;
+using protocol::ParseReport;
+using protocol::SerializeReport;
 using protocol::TreeHrrClient;
 using protocol::TreeHrrServer;
 
-constexpr protocol::MechanismTag kTree = protocol::MechanismTag::kTreeHrr;
+constexpr LevelHrrLayout kTree{protocol::MechanismTag::kTreeHrr};
 
 TEST(TreeProtocol, SerializationRoundTrip) {
   LevelHrrReport report;
   report.level = 5;
   report.inner = {1234, -1};
   LevelHrrReport back;
-  ASSERT_EQ(ParseLevelHrrReport(
-                kTree, SerializeLevelHrrReport(kTree, report), &back),
+  ASSERT_EQ(ParseReport(kTree, SerializeReport(kTree, report), &back),
             ParseError::kOk);
   EXPECT_EQ(back.level, 5u);
   EXPECT_EQ(back.inner.coefficient_index, 1234u);
@@ -39,20 +40,12 @@ TEST(TreeProtocol, SerializationRejectsTagsOfOtherProtocols) {
   report.level = 1;
   report.inner = {0, +1};
   LevelHrrReport out;
-  // v2: the mechanism tag lives at offset 3 of the envelope header.
-  std::vector<uint8_t> v2 = SerializeLevelHrrReport(kTree, report);
+  // The mechanism tag lives at offset 3 of the envelope header.
+  std::vector<uint8_t> v2 = SerializeReport(kTree, report);
   for (uint8_t tag : {0x01, 0x02, 0x00, 0xFF}) {
     v2[3] = tag;
-    EXPECT_NE(ParseLevelHrrReport(kTree, v2, &out), ParseError::kOk)
+    EXPECT_NE(ParseReport(kTree, v2, &out), ParseError::kOk)
         << "v2 tag " << int(tag);
-  }
-  // v1: the tag is the leading byte.
-  std::vector<uint8_t> v1 =
-      SerializeLevelHrrReport(kTree, report, ldp::protocol::kWireVersionV1);
-  for (uint8_t tag : {0x01, 0x02, 0x00, 0xFF}) {
-    v1[0] = tag;
-    EXPECT_NE(ParseLevelHrrReport(kTree, v1, &out), ParseError::kOk)
-        << "v1 tag " << int(tag);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "protocol/haar_protocol.h"
 #include "protocol/level_hrr.h"
 #include "protocol/oracle_wire.h"
+#include "protocol/report_codec.h"
 #include "protocol/tree_protocol.h"
 #include "protocol/wire.h"
 
@@ -26,6 +27,8 @@ namespace ldp {
 namespace {
 
 using protocol::Envelope;
+using protocol::HrrLayout;
+using protocol::LevelHrrLayout;
 using protocol::MechanismTag;
 using protocol::ParseError;
 
@@ -46,18 +49,11 @@ std::vector<ParserUnderTest> AllParsers() {
       {"flat_v2", flat.EncodeSerialized(7, rng),
        [](std::span<const uint8_t> bytes) {
          HrrReport r;
-         ParseError err = protocol::ParseHrrReportDetailed(bytes, &r);
+         ParseError err = protocol::ParseReport(HrrLayout{}, bytes, &r);
          if (err == ParseError::kOk) {
            EXPECT_TRUE(r.sign == 1 || r.sign == -1);
          }
          return err;
-       }});
-  flat.set_wire_version(protocol::kWireVersionV1);
-  parsers.push_back(
-      {"flat_v1", flat.EncodeSerialized(7, rng),
-       [](std::span<const uint8_t> bytes) {
-         HrrReport r;
-         return protocol::ParseHrrReportDetailed(bytes, &r);
        }});
 
   protocol::HaarHrrClient haar(64, 1.0);
@@ -65,8 +61,8 @@ std::vector<ParserUnderTest> AllParsers() {
       {"haar_v2", haar.EncodeSerialized(20, rng),
        [](std::span<const uint8_t> bytes) {
          protocol::LevelHrrReport r;
-         ParseError err =
-             protocol::ParseLevelHrrReport(MechanismTag::kHaarHrr, bytes, &r);
+         ParseError err = protocol::ParseReport(
+             LevelHrrLayout{MechanismTag::kHaarHrr}, bytes, &r);
          if (err == ParseError::kOk) {
            EXPECT_GE(r.level, 1u);
            EXPECT_TRUE(r.inner.sign == 1 || r.inner.sign == -1);
@@ -79,8 +75,8 @@ std::vector<ParserUnderTest> AllParsers() {
       {"tree_v2", tree.EncodeSerialized(100, rng),
        [](std::span<const uint8_t> bytes) {
          protocol::LevelHrrReport r;
-         ParseError err =
-             protocol::ParseLevelHrrReport(MechanismTag::kTreeHrr, bytes, &r);
+         ParseError err = protocol::ParseReport(
+             LevelHrrLayout{MechanismTag::kTreeHrr}, bytes, &r);
          if (err == ParseError::kOk) {
            EXPECT_GE(r.level, 1u);
          }
@@ -95,7 +91,7 @@ std::vector<ParserUnderTest> AllParsers() {
          std::vector<HrrReport> rs;
          uint64_t malformed = 0;
          ParseError err =
-             protocol::ParseHrrReportBatch(bytes, &rs, &malformed);
+             protocol::ParseReportBatch(HrrLayout{}, bytes, &rs, &malformed);
          if (err == ParseError::kOk) {
            for (const HrrReport& r : rs) {
              EXPECT_TRUE(r.sign == 1 || r.sign == -1);
@@ -109,16 +105,16 @@ std::vector<ParserUnderTest> AllParsers() {
            .EncodeUsersSerialized(values, rng),
        [](std::span<const uint8_t> bytes) {
          std::vector<protocol::LevelHrrReport> rs;
-         return protocol::ParseLevelHrrReportBatch(MechanismTag::kTreeHrr,
-                                                   bytes, &rs);
+         return protocol::ParseReportBatch(
+             LevelHrrLayout{MechanismTag::kTreeHrr}, bytes, &rs);
        }});
   parsers.push_back(
       {"haar_batch",
        protocol::HaarHrrClient(64, 1.0).EncodeUsersSerialized(values, rng),
        [](std::span<const uint8_t> bytes) {
          std::vector<protocol::LevelHrrReport> rs;
-         return protocol::ParseLevelHrrReportBatch(MechanismTag::kHaarHrr,
-                                                   bytes, &rs);
+         return protocol::ParseReportBatch(
+             LevelHrrLayout{MechanismTag::kHaarHrr}, bytes, &rs);
        }});
 
   parsers.push_back(
@@ -226,7 +222,7 @@ TEST(WireAdversarial, BatchCountCannotBeInflated) {
   std::vector<uint8_t> msg =
       protocol::EncodeEnvelope(MechanismTag::kFlatHrrBatch, payload);
   std::vector<HrrReport> reports;
-  EXPECT_EQ(protocol::ParseHrrReportBatch(msg, &reports),
+  EXPECT_EQ(protocol::ParseReportBatch(HrrLayout{}, msg, &reports),
             ParseError::kBadPayload);
   EXPECT_TRUE(reports.empty());
 }
@@ -242,7 +238,7 @@ TEST(WireAdversarial, BatchWithMalformedItemsSkipsAndCounts) {
   msg[second_sign] = 0x55;
   std::vector<HrrReport> reports;
   uint64_t malformed = 0;
-  ASSERT_EQ(protocol::ParseHrrReportBatch(msg, &reports, &malformed),
+  ASSERT_EQ(protocol::ParseReportBatch(HrrLayout{}, msg, &reports, &malformed),
             ParseError::kOk);
   EXPECT_EQ(reports.size(), 3u);
   EXPECT_EQ(malformed, 1u);

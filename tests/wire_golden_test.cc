@@ -1,10 +1,10 @@
-// Golden wire captures: byte-exact pins of both wire versions.
+// Golden wire captures: byte-exact pins of the wire format.
 //
-// The v1 arrays below are captures of the seed's serializer (PR 0-2
-// era); they must decode through the legacy path byte-identically
-// forever — a change here is a wire break for every deployed client.
 // The v2 arrays pin the envelope layout documented in envelope.h so a
-// refactor cannot silently shift a field.
+// refactor cannot silently shift a field — a change here is a wire break
+// for every deployed client. The v1 arrays are captures of the seed's
+// retired unframed serializer; they stay as inputs every parser and
+// server must reject (kBadMagic, one counted rejection).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "protocol/level_hrr.h"
 #include "protocol/multidim_protocol.h"
 #include "protocol/oracle_wire.h"
+#include "protocol/report_codec.h"
 #include "protocol/tree_protocol.h"
 #include "service/state_wire.h"
 #include "service/stream_wire.h"
@@ -27,11 +28,17 @@
 namespace ldp {
 namespace {
 
-using protocol::kWireVersionV1;
+using protocol::AheadLayout;
+using protocol::HrrLayout;
+using protocol::LevelHrrLayout;
 using protocol::MechanismTag;
+using protocol::MultiDimLayout;
 using protocol::ParseError;
 
-// --- v1 captures (legacy, unframed) --------------------------------------
+// --- v1 captures (retired, unframed) -------------------------------------
+//
+// The wire is v2-only: each seed-era capture must fail the envelope's
+// magic check and cost the server exactly one rejection.
 
 TEST(WireGolden, V1FlatCaptureDecodesByteIdentically) {
   // FlatHRR v1: [tag 0x01][index u64 LE][sign u8];
@@ -39,11 +46,12 @@ TEST(WireGolden, V1FlatCaptureDecodesByteIdentically) {
   const std::vector<uint8_t> capture = {0x01, 0xEF, 0xCD, 0xAB, 0x89,
                                         0x67, 0x45, 0x23, 0x01, 0x01};
   HrrReport report;
-  ASSERT_EQ(protocol::ParseHrrReportDetailed(capture, &report),
-            ParseError::kOk);
-  EXPECT_EQ(report.coefficient_index, 0x0123456789ABCDEFULL);
-  EXPECT_EQ(report.sign, +1);
-  EXPECT_EQ(protocol::SerializeHrrReport(report, kWireVersionV1), capture);
+  EXPECT_EQ(protocol::ParseReport(HrrLayout{}, capture, &report),
+            ParseError::kBadMagic);
+  protocol::FlatHrrServer server(64, 1.0);
+  EXPECT_FALSE(server.AbsorbSerialized(capture));
+  EXPECT_EQ(server.accepted_reports(), 0u);
+  EXPECT_EQ(server.rejected_reports(), 1u);
 }
 
 TEST(WireGolden, V1HaarCaptureDecodesByteIdentically) {
@@ -52,15 +60,13 @@ TEST(WireGolden, V1HaarCaptureDecodesByteIdentically) {
   const std::vector<uint8_t> capture = {0x02, 0x07, 0x2A, 0x00, 0x00, 0x00,
                                         0x00, 0x00, 0x00, 0x00, 0x00};
   protocol::LevelHrrReport report;
-  ASSERT_EQ(
-      protocol::ParseLevelHrrReport(MechanismTag::kHaarHrr, capture, &report),
-      ParseError::kOk);
-  EXPECT_EQ(report.level, 7u);
-  EXPECT_EQ(report.inner.coefficient_index, 42u);
-  EXPECT_EQ(report.inner.sign, -1);
-  EXPECT_EQ(protocol::SerializeLevelHrrReport(MechanismTag::kHaarHrr, report,
-                                             kWireVersionV1),
-            capture);
+  EXPECT_EQ(protocol::ParseReport(LevelHrrLayout{MechanismTag::kHaarHrr},
+                                  capture, &report),
+            ParseError::kBadMagic);
+  protocol::HaarHrrServer server(256, 1.0);
+  EXPECT_FALSE(server.AbsorbSerialized(capture));
+  EXPECT_EQ(server.accepted_reports(), 0u);
+  EXPECT_EQ(server.rejected_reports(), 1u);
 }
 
 TEST(WireGolden, V1TreeCaptureDecodesByteIdentically) {
@@ -69,15 +75,13 @@ TEST(WireGolden, V1TreeCaptureDecodesByteIdentically) {
   const std::vector<uint8_t> capture = {0x03, 0x03, 0xD2, 0x04, 0x00, 0x00,
                                         0x00, 0x00, 0x00, 0x00, 0x01};
   protocol::LevelHrrReport report;
-  ASSERT_EQ(
-      protocol::ParseLevelHrrReport(MechanismTag::kTreeHrr, capture, &report),
-      ParseError::kOk);
-  EXPECT_EQ(report.level, 3u);
-  EXPECT_EQ(report.inner.coefficient_index, 1234u);
-  EXPECT_EQ(report.inner.sign, +1);
-  EXPECT_EQ(protocol::SerializeLevelHrrReport(MechanismTag::kTreeHrr, report,
-                                             kWireVersionV1),
-            capture);
+  EXPECT_EQ(protocol::ParseReport(LevelHrrLayout{MechanismTag::kTreeHrr},
+                                  capture, &report),
+            ParseError::kBadMagic);
+  protocol::TreeHrrServer server(4096, 4, 1.0);
+  EXPECT_FALSE(server.AbsorbSerialized(capture));
+  EXPECT_EQ(server.accepted_reports(), 0u);
+  EXPECT_EQ(server.rejected_reports(), 1u);
 }
 
 // --- v2 layout pins (framed) ---------------------------------------------
@@ -88,9 +92,9 @@ TEST(WireGolden, V2FlatLayoutIsPinned) {
       0x4C, 0x52, 0x02, 0x01, 0x09, 0x00, 0x00, 0x00,
       0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01, 0x00};
   HrrReport report{0x0123456789ABCDEFULL, -1};
-  EXPECT_EQ(protocol::SerializeHrrReport(report), expected);
+  EXPECT_EQ(protocol::SerializeReport(HrrLayout{}, report), expected);
   HrrReport back;
-  ASSERT_EQ(protocol::ParseHrrReportDetailed(expected, &back),
+  ASSERT_EQ(protocol::ParseReport(HrrLayout{}, expected, &back),
             ParseError::kOk);
   EXPECT_EQ(back.coefficient_index, report.coefficient_index);
   EXPECT_EQ(back.sign, -1);
@@ -104,7 +108,8 @@ TEST(WireGolden, V2TreeLayoutIsPinned) {
   protocol::LevelHrrReport report;
   report.level = 5;
   report.inner = {1234, +1};
-  EXPECT_EQ(protocol::SerializeLevelHrrReport(MechanismTag::kTreeHrr, report),
+  EXPECT_EQ(protocol::SerializeReport(LevelHrrLayout{MechanismTag::kTreeHrr},
+                                      report),
             expected);
 }
 
@@ -155,9 +160,10 @@ TEST(WireGolden, V2BatchLayoutIsPinned) {
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
   std::vector<HrrReport> reports = {{1, +1}, {2, -1}};
-  EXPECT_EQ(protocol::SerializeHrrReportBatch(reports), expected);
+  EXPECT_EQ(protocol::SerializeReportBatch(HrrLayout{}, reports), expected);
   std::vector<HrrReport> back;
-  ASSERT_EQ(protocol::ParseHrrReportBatch(expected, &back), ParseError::kOk);
+  ASSERT_EQ(protocol::ParseReportBatch(HrrLayout{}, expected, &back),
+            ParseError::kOk);
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].coefficient_index, 1u);
   EXPECT_EQ(back[1].sign, -1);
@@ -188,9 +194,9 @@ TEST(WireGolden, V2AheadReportLayoutIsPinned) {
       0x4C, 0x52, 0x02, 0x08, 0x0A, 0x00, 0x00, 0x00,
       0x02, 0x03, 0xD2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
   protocol::AheadWireReport report{2, 3, 1234};
-  EXPECT_EQ(protocol::SerializeAheadReport(report), expected);
+  EXPECT_EQ(protocol::SerializeReport(AheadLayout{}, report), expected);
   protocol::AheadWireReport back;
-  ASSERT_EQ(protocol::ParseAheadReportDetailed(expected, &back),
+  ASSERT_EQ(protocol::ParseReport(AheadLayout{}, expected, &back),
             ParseError::kOk);
   EXPECT_EQ(back, report);
 }
@@ -204,9 +210,9 @@ TEST(WireGolden, V2AheadBatchLayoutIsPinned) {
       0x01, 0x02, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x02, 0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
   std::vector<protocol::AheadWireReport> reports = {{1, 2, 7}, {2, 1, 5}};
-  EXPECT_EQ(protocol::SerializeAheadReportBatch(reports), expected);
+  EXPECT_EQ(protocol::SerializeReportBatch(AheadLayout{}, reports), expected);
   std::vector<protocol::AheadWireReport> back;
-  ASSERT_EQ(protocol::ParseAheadReportBatch(expected, &back),
+  ASSERT_EQ(protocol::ParseReportBatch(AheadLayout{}, expected, &back),
             ParseError::kOk);
   EXPECT_EQ(back, reports);
 }
@@ -234,14 +240,15 @@ TEST(WireGolden, V2AheadTreeLayoutIsPinned) {
   EXPECT_EQ(back->FrontierSize(1), 4u);
 }
 
-// A v1 capture can never be mistaken for v2 (and vice versa): the v1
-// tag range 0x01..0x03 differs from the magic byte 0x4C.
+// A retired v1 capture can never be mistaken for v2: the v1 tag range
+// 0x01..0x03 differs from the magic byte 0x4C.
 TEST(WireGolden, VersionsAreUnambiguousOnTheWire) {
   const std::vector<uint8_t> v1 = {0x01, 0xEF, 0xCD, 0xAB, 0x89,
                                    0x67, 0x45, 0x23, 0x01, 0x01};
   EXPECT_FALSE(protocol::LooksLikeEnvelope(v1));
   HrrReport report{7, +1};
-  EXPECT_TRUE(protocol::LooksLikeEnvelope(protocol::SerializeHrrReport(report)));
+  EXPECT_TRUE(protocol::LooksLikeEnvelope(
+      protocol::SerializeReport(HrrLayout{}, report)));
 }
 
 // --- Stream framing + query plane pins (PR 5) -----------------------------
@@ -344,9 +351,10 @@ TEST(WireGolden, V2MultiDimReportLayoutIsPinned) {
   report.levels = {3, 0};
   report.seed = 0x0102030405060708ULL;
   report.cell = 5;
-  EXPECT_EQ(protocol::SerializeMultiDimReport(report), expected);
+  EXPECT_EQ(protocol::SerializeReport(MultiDimLayout{2}, report), expected);
   protocol::MultiDimReport back;
-  ASSERT_EQ(protocol::ParseMultiDimReport(expected, &back), ParseError::kOk);
+  ASSERT_EQ(protocol::ParseReport(MultiDimLayout{}, expected, &back),
+            ParseError::kOk);
   EXPECT_EQ(back, report);
 }
 
@@ -368,9 +376,10 @@ TEST(WireGolden, V2MultiDimBatchLayoutIsPinned) {
   reports[1].levels = {0, 2};
   reports[1].seed = 3;
   reports[1].cell = 4;
-  EXPECT_EQ(protocol::SerializeMultiDimReportBatch(2, reports), expected);
+  EXPECT_EQ(protocol::SerializeReportBatch(MultiDimLayout{2}, reports),
+            expected);
   std::vector<protocol::MultiDimReport> back;
-  ASSERT_EQ(protocol::ParseMultiDimReportBatch(expected, &back, nullptr),
+  ASSERT_EQ(protocol::ParseReportBatch(MultiDimLayout{}, expected, &back),
             ParseError::kOk);
   EXPECT_EQ(back, reports);
 }

@@ -2,7 +2,7 @@
 // Parse identity must hold for every report shape — the three deployable
 // protocols (flat/haar/tree HRR) and the four plain oracle report
 // formats (GRR, OUE, SUE, OLH) — across randomized (eps, D, seed) drawn
-// from a seeded generator, in both wire versions where both exist.
+// from a seeded generator.
 // Extends the oracle_property_test.cc style to the serialization layer.
 
 #include <gtest/gtest.h>
@@ -16,18 +16,27 @@
 #include "protocol/haar_protocol.h"
 #include "protocol/level_hrr.h"
 #include "protocol/oracle_wire.h"
+#include "protocol/report_codec.h"
 #include "protocol/tree_protocol.h"
 #include "protocol/wire.h"
 
 namespace ldp {
 namespace {
 
-using protocol::kWireVersionV1;
-using protocol::kWireVersionV2;
+using protocol::HrrLayout;
+using protocol::LevelHrrLayout;
 using protocol::MechanismTag;
 using protocol::ParseError;
 
 constexpr int kTrials = 200;
+
+// Absorbs `reports` one at a time; returns how many were accepted.
+template <typename Server, typename Report>
+uint64_t AbsorbEach(Server& server, const std::vector<Report>& reports) {
+  uint64_t accepted = 0;
+  for (const Report& report : reports) accepted += server.Absorb(report);
+  return accepted;
+}
 
 // Random protocol parameters with wide dynamic range: D in [2, 2^20],
 // eps in (0, ~8].
@@ -49,16 +58,13 @@ TEST(WireProperty, FlatHrrRoundTripIdentity) {
     protocol::FlatHrrClient client(p.domain, p.eps);
     uint64_t value = rng.UniformInt(p.domain);
     HrrReport report = client.Encode(value, rng);
-    for (uint8_t version : {kWireVersionV1, kWireVersionV2}) {
-      std::vector<uint8_t> bytes =
-          protocol::SerializeHrrReport(report, version);
-      HrrReport back;
-      ASSERT_EQ(protocol::ParseHrrReportDetailed(bytes, &back),
-                ParseError::kOk)
-          << "trial " << t << " version " << int(version);
-      EXPECT_EQ(back.coefficient_index, report.coefficient_index);
-      EXPECT_EQ(back.sign, report.sign);
-    }
+    std::vector<uint8_t> bytes = protocol::SerializeReport(HrrLayout{}, report);
+    HrrReport back;
+    ASSERT_EQ(protocol::ParseReport(HrrLayout{}, bytes, &back),
+              ParseError::kOk)
+        << "trial " << t;
+    EXPECT_EQ(back.coefficient_index, report.coefficient_index);
+    EXPECT_EQ(back.sign, report.sign);
   }
 }
 
@@ -69,19 +75,14 @@ TEST(WireProperty, HaarHrrRoundTripIdentity) {
     protocol::HaarHrrClient client(p.domain, p.eps);
     uint64_t value = rng.UniformInt(p.domain);
     protocol::LevelHrrReport report = client.Encode(value, rng);
-    for (uint8_t version : {kWireVersionV1, kWireVersionV2}) {
-      std::vector<uint8_t> bytes = protocol::SerializeLevelHrrReport(
-          MechanismTag::kHaarHrr, report, version);
-      protocol::LevelHrrReport back;
-      ASSERT_EQ(
-          protocol::ParseLevelHrrReport(MechanismTag::kHaarHrr, bytes, &back),
-          ParseError::kOk)
-          << "trial " << t << " version " << int(version);
-      EXPECT_EQ(back.level, report.level);
-      EXPECT_EQ(back.inner.coefficient_index,
-                report.inner.coefficient_index);
-      EXPECT_EQ(back.inner.sign, report.inner.sign);
-    }
+    const LevelHrrLayout layout{MechanismTag::kHaarHrr};
+    std::vector<uint8_t> bytes = protocol::SerializeReport(layout, report);
+    protocol::LevelHrrReport back;
+    ASSERT_EQ(protocol::ParseReport(layout, bytes, &back), ParseError::kOk)
+        << "trial " << t;
+    EXPECT_EQ(back.level, report.level);
+    EXPECT_EQ(back.inner.coefficient_index, report.inner.coefficient_index);
+    EXPECT_EQ(back.inner.sign, report.inner.sign);
   }
 }
 
@@ -93,19 +94,14 @@ TEST(WireProperty, TreeHrrRoundTripIdentity) {
     protocol::TreeHrrClient client(p.domain, fanout, p.eps);
     uint64_t value = rng.UniformInt(p.domain);
     protocol::LevelHrrReport report = client.Encode(value, rng);
-    for (uint8_t version : {kWireVersionV1, kWireVersionV2}) {
-      std::vector<uint8_t> bytes = protocol::SerializeLevelHrrReport(
-          MechanismTag::kTreeHrr, report, version);
-      protocol::LevelHrrReport back;
-      ASSERT_EQ(
-          protocol::ParseLevelHrrReport(MechanismTag::kTreeHrr, bytes, &back),
-          ParseError::kOk)
-          << "trial " << t << " version " << int(version);
-      EXPECT_EQ(back.level, report.level);
-      EXPECT_EQ(back.inner.coefficient_index,
-                report.inner.coefficient_index);
-      EXPECT_EQ(back.inner.sign, report.inner.sign);
-    }
+    const LevelHrrLayout layout{MechanismTag::kTreeHrr};
+    std::vector<uint8_t> bytes = protocol::SerializeReport(layout, report);
+    protocol::LevelHrrReport back;
+    ASSERT_EQ(protocol::ParseReport(layout, bytes, &back), ParseError::kOk)
+        << "trial " << t;
+    EXPECT_EQ(back.level, report.level);
+    EXPECT_EQ(back.inner.coefficient_index, report.inner.coefficient_index);
+    EXPECT_EQ(back.inner.sign, report.inner.sign);
   }
 }
 
@@ -232,8 +228,9 @@ TEST(WireProperty, FlatBatchRoundTripMatchesEncodeUsers) {
 
   std::vector<HrrReport> parsed;
   uint64_t malformed = 7;
-  ASSERT_EQ(protocol::ParseHrrReportBatch(framed, &parsed, &malformed),
-            ParseError::kOk);
+  ASSERT_EQ(
+      protocol::ParseReportBatch(HrrLayout{}, framed, &parsed, &malformed),
+      ParseError::kOk);
   EXPECT_EQ(malformed, 0u);
   ASSERT_EQ(parsed.size(), direct.size());
   for (size_t i = 0; i < parsed.size(); ++i) {
@@ -243,7 +240,7 @@ TEST(WireProperty, FlatBatchRoundTripMatchesEncodeUsers) {
 
   protocol::FlatHrrServer from_structs(300, 1.1);
   protocol::FlatHrrServer from_wire(300, 1.1);
-  EXPECT_EQ(from_structs.AbsorbBatch(direct), direct.size());
+  EXPECT_EQ(AbsorbEach(from_structs, direct), direct.size());
   uint64_t accepted = 0;
   ASSERT_EQ(from_wire.AbsorbBatchSerialized(framed, &accepted),
             ParseError::kOk);
@@ -270,7 +267,7 @@ TEST(WireProperty, HaarBatchRoundTripMatchesEncodeUsers) {
 
   protocol::HaarHrrServer from_structs(256, 0.8);
   protocol::HaarHrrServer from_wire(256, 0.8);
-  EXPECT_EQ(from_structs.AbsorbBatch(direct), direct.size());
+  EXPECT_EQ(AbsorbEach(from_structs, direct), direct.size());
   uint64_t accepted = 0;
   ASSERT_EQ(from_wire.AbsorbBatchSerialized(framed, &accepted),
             ParseError::kOk);
@@ -297,7 +294,7 @@ TEST(WireProperty, TreeBatchRoundTripMatchesEncodeUsers) {
 
   protocol::TreeHrrServer from_structs(256, 4, 1.1);
   protocol::TreeHrrServer from_wire(256, 4, 1.1);
-  EXPECT_EQ(from_structs.AbsorbBatch(direct), direct.size());
+  EXPECT_EQ(AbsorbEach(from_structs, direct), direct.size());
   uint64_t accepted = 0;
   ASSERT_EQ(from_wire.AbsorbBatchSerialized(framed, &accepted),
             ParseError::kOk);
@@ -308,51 +305,6 @@ TEST(WireProperty, TreeBatchRoundTripMatchesEncodeUsers) {
     EXPECT_DOUBLE_EQ(from_wire.RangeQuery(a, 255),
                      from_structs.RangeQuery(a, 255));
   }
-}
-
-// Version negotiation: a v2 client downgrades to a v1-only server and
-// its reports still land; disjoint version sets fail loudly.
-TEST(WireProperty, VersionNegotiationDowngradesAndRefuses) {
-  protocol::FlatHrrClient client(64, 1.0);
-  EXPECT_EQ(client.wire_version(), kWireVersionV2);
-
-  // Default negotiation against this build's servers picks v2.
-  protocol::FlatHrrServer version_probe(64, 1.0);
-  ASSERT_TRUE(client.NegotiateWireVersion(version_probe.AcceptedWireVersions()));
-  EXPECT_EQ(client.wire_version(), kWireVersionV2);
-
-  // Old server that only accepts v1: downgrade.
-  const uint8_t v1_only[] = {kWireVersionV1};
-  ASSERT_TRUE(client.NegotiateWireVersion(v1_only));
-  EXPECT_EQ(client.wire_version(), kWireVersionV1);
-  Rng rng(7);
-  protocol::FlatHrrServer server(64, 1.0);
-  std::vector<uint8_t> report = client.EncodeSerialized(9, rng);
-  EXPECT_EQ(report.size(), 10u);  // legacy framing
-  EXPECT_TRUE(server.AbsorbSerialized(report));
-
-  // Hypothetical future server that dropped every version we speak.
-  const uint8_t v9_only[] = {9};
-  EXPECT_FALSE(client.NegotiateWireVersion(v9_only));
-  EXPECT_EQ(client.wire_version(), kWireVersionV1);  // unchanged
-
-  const uint8_t kNegotiable[] = {kWireVersionV1, kWireVersionV2};
-  EXPECT_EQ(protocol::NegotiateWireVersion(kNegotiable, v9_only), 0);
-  EXPECT_EQ(protocol::NegotiateWireVersion(kNegotiable, kNegotiable),
-            kWireVersionV2);
-}
-
-TEST(WireProperty, TreeAndHaarClientsNegotiateToo) {
-  const uint8_t v1_only[] = {kWireVersionV1};
-  protocol::TreeHrrClient tree(64, 2, 1.0);
-  ASSERT_TRUE(tree.NegotiateWireVersion(v1_only));
-  EXPECT_EQ(tree.wire_version(), kWireVersionV1);
-  protocol::HaarHrrClient haar(64, 1.0);
-  ASSERT_TRUE(haar.NegotiateWireVersion(v1_only));
-  EXPECT_EQ(haar.wire_version(), kWireVersionV1);
-  Rng rng(8);
-  EXPECT_EQ(tree.EncodeSerialized(1, rng).size(), 11u);
-  EXPECT_EQ(haar.EncodeSerialized(1, rng).size(), 11u);
 }
 
 }  // namespace

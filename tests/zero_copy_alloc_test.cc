@@ -73,7 +73,7 @@ TEST(ZeroCopyIngestion, SteadyStateChunkAbsorbIsAllocationFree) {
     reports[i].cell = static_cast<uint32_t>(i % server.hash_range());
   }
   const std::vector<uint8_t> chunk =
-      protocol::SerializeMultiDimReportBatch(2, reports);
+      protocol::SerializeReportBatch(protocol::MultiDimLayout{2}, reports);
 
   // Warmup: the first chunks carve the oracle's first arena blocks.
   for (int i = 0; i < 2; ++i) {
