@@ -9,6 +9,11 @@
 // pool sizes 1 and 4; BM_OneShotBatch is the reference. Chunk bytes are
 // pre-encoded outside the timed region (client-side encode cost is the
 // same on both paths and is measured by bench_ingest_throughput).
+//
+// BM_AbsorbChunks is the batch absorb kernel per report family (flat,
+// Haar, tree, AHEAD phase 1, 2-D grid) at 2000-report chunks — the
+// chunk size the wire benchmarks stream. Its time per item is the
+// server's absorb cost per report.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +21,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "protocol/ahead_protocol.h"
+#include "protocol/flat_protocol.h"
+#include "protocol/haar_protocol.h"
+#include "protocol/multidim_protocol.h"
 #include "protocol/tree_protocol.h"
 #include "service/aggregator_service.h"
 #include "service/server_factory.h"
@@ -78,6 +87,112 @@ BENCHMARK(BM_OneShotBatch)
     ->Args({1 << 16, 8})
     ->Args({1 << 16, 32})
     ->UseRealTime();
+
+enum class Family { kFlat, kHaar, kTree, kAheadPhase1, kGrid };
+
+constexpr uint64_t kFamilyDomain = uint64_t{1} << 16;
+constexpr uint64_t kGridDomain = uint64_t{1} << 8;  // per axis, 2 axes
+constexpr uint64_t kFamilyChunk = 2000;
+constexpr int64_t kFamilyChunks = 16;
+
+service::ServerSpec FamilySpec(Family family) {
+  service::ServerSpec spec;
+  spec.domain = kFamilyDomain;
+  spec.eps = kEps;
+  spec.fanout = 4;
+  switch (family) {
+    case Family::kFlat:
+      spec.kind = service::ServerKind::kFlat;
+      break;
+    case Family::kHaar:
+      spec.kind = service::ServerKind::kHaar;
+      break;
+    case Family::kTree:
+      spec.kind = service::ServerKind::kTree;
+      break;
+    case Family::kAheadPhase1:
+      spec.kind = service::ServerKind::kAhead;
+      break;
+    case Family::kGrid:
+      spec.kind = service::ServerKind::kGrid;
+      spec.domain = kGridDomain;
+      spec.fanout = 2;
+      spec.dimensions = 2;
+      break;
+  }
+  return spec;
+}
+
+// kFamilyChunks batch messages of kFamilyChunk reports each.
+std::vector<std::vector<uint8_t>> MakeFamilyChunks(Family family) {
+  const service::ServerSpec spec = FamilySpec(family);
+  Rng rng(7);
+  std::vector<std::vector<uint8_t>> chunks;
+  for (int64_t c = 0; c < kFamilyChunks; ++c) {
+    const uint64_t values_per_report = family == Family::kGrid ? 2 : 1;
+    std::vector<uint64_t> values(kFamilyChunk * values_per_report);
+    for (uint64_t& v : values) v = rng.UniformInt(spec.domain);
+    switch (family) {
+      case Family::kFlat:
+        chunks.push_back(protocol::FlatHrrClient(spec.domain, spec.eps)
+                             .EncodeUsersSerialized(values, rng));
+        break;
+      case Family::kHaar:
+        chunks.push_back(protocol::HaarHrrClient(spec.domain, spec.eps)
+                             .EncodeUsersSerialized(values, rng));
+        break;
+      case Family::kTree:
+        chunks.push_back(
+            protocol::TreeHrrClient(spec.domain, spec.fanout, spec.eps)
+                .EncodeUsersSerialized(values, rng));
+        break;
+      case Family::kAheadPhase1: {
+        protocol::AheadClient client(spec.domain, spec.fanout, spec.eps);
+        std::vector<protocol::AheadWireReport> reports;
+        for (uint64_t v : values) reports.push_back(client.EncodePhase1(v, rng));
+        chunks.push_back(protocol::SerializeReportBatch(
+            protocol::AheadLayout{},
+            std::span<const protocol::AheadWireReport>(reports)));
+        break;
+      }
+      case Family::kGrid:
+        chunks.push_back(protocol::MultiDimClient(spec.domain, spec.dimensions,
+                                                  spec.eps, spec.fanout)
+                             .EncodeUsersSerialized(values, rng));
+        break;
+    }
+  }
+  return chunks;
+}
+
+// One fresh server per iteration, built (and its predecessor destroyed)
+// outside the timed region, so the grid's deferred OLH columns cannot
+// grow without bound; the timed region is exactly the
+// AbsorbBatchSerialized calls.
+void BM_AbsorbChunks(benchmark::State& state, Family family) {
+  const service::ServerSpec spec = FamilySpec(family);
+  const std::vector<std::vector<uint8_t>> chunks = MakeFamilyChunks(family);
+  std::unique_ptr<service::AggregatorServer> server;
+  uint64_t accepted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    server = service::MakeAggregatorServer(spec);
+    state.ResumeTiming();
+    for (const std::vector<uint8_t>& chunk : chunks) {
+      server->AbsorbBatchSerialized(chunk);
+    }
+    accepted += server->accepted_reports();
+  }
+  const uint64_t reports = state.iterations() * kFamilyChunks * kFamilyChunk;
+  if (accepted != reports) state.SkipWithError("a report was rejected");
+  state.SetItemsProcessed(static_cast<int64_t>(reports));
+}
+BENCHMARK_CAPTURE(BM_AbsorbChunks, flat, Family::kFlat)->UseRealTime();
+BENCHMARK_CAPTURE(BM_AbsorbChunks, haar, Family::kHaar)->UseRealTime();
+BENCHMARK_CAPTURE(BM_AbsorbChunks, tree, Family::kTree)->UseRealTime();
+BENCHMARK_CAPTURE(BM_AbsorbChunks, ahead_phase1, Family::kAheadPhase1)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_AbsorbChunks, grid, Family::kGrid)->UseRealTime();
 
 // Streamed: the same chunk bytes through the live service, one fresh
 // session per iteration (steady-state serving; the pool and server are

@@ -18,8 +18,12 @@
 // section is framing + TCP + service admission + absorb. Every ingest
 // connection ends with the shutdown(SHUT_WR) handshake and waits for the
 // server's EOF, which the front-end only sends after routing every
-// buffered message — so when the ingest phase ends, every chunk is
-// admitted, and the finalize session cannot race ahead of data.
+// buffered message — so once the connections are done, every chunk is
+// admitted, and the finalize session cannot race ahead of data. The
+// ingest clock then keeps running until the server has absorbed them:
+// it polls server<id>.accepted + rejected over kStatsQuery until every
+// report sent is accounted. reports_per_sec is that absorbed rate;
+// admitted_reports_per_sec stops the clock at the EOF handshakes.
 //
 // Deliberately plain (no Google Benchmark dependency): it must build in
 // every preset, including the sanitizer ones where LDP_BUILD_BENCH is
@@ -235,8 +239,50 @@ double Percentile(std::vector<double> xs, double p) {
   return xs[idx];
 }
 
+// One kStatsQuery round trip on `conn`; false on a transport or parse
+// failure.
+bool ScrapeStats(TcpClient& conn, uint8_t flags,
+                 ldp::obs::StatsResponse* out) {
+  ldp::obs::StatsQuery query;
+  query.query_id = 0x57A75;
+  query.flags = flags;
+  const std::vector<uint8_t> reply =
+      conn.Call(ldp::obs::SerializeStatsQuery(query));
+  return ldp::obs::ParseStatsResponse(reply, out) ==
+             ldp::protocol::ParseError::kOk &&
+         out->status == ldp::obs::StatsStatus::kOk &&
+         out->query_id == query.query_id;
+}
+
+// server<id>.accepted + rejected from one scrape.
+uint64_t AccountedReports(const ldp::obs::StatsResponse& scrape,
+                          uint64_t server_id) {
+  const std::string prefix = "server" + std::to_string(server_id);
+  return scrape.metrics.CounterOr(prefix + ".accepted") +
+         scrape.metrics.CounterOr(prefix + ".rejected");
+}
+
+// Polls the server's accounting until it reaches `target` reports (or,
+// with target 0, scrapes once); false on a connect or scrape failure or
+// after 60 s. `*accounted` receives the last count seen.
+bool WaitAccounted(const std::string& host, uint16_t port, uint64_t server_id,
+                   uint64_t target, uint64_t* accounted) {
+  TcpClient conn;
+  if (!conn.Connect(host, port)) return false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  ldp::obs::StatsResponse scrape;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (!ScrapeStats(conn, 0, &scrape)) return false;
+    *accounted = AccountedReports(scrape, server_id);
+    if (*accounted >= target) return true;
+  }
+  return false;
+}
+
 struct IngestResult {
-  double reports_per_sec = 0.0;
+  double reports_per_sec = 0.0;           // first send -> all absorbed
+  double admitted_reports_per_sec = 0.0;  // first send -> all routed
   double mb_per_sec = 0.0;
   uint64_t reports = 0;
   uint64_t sessions = 0;
@@ -250,6 +296,12 @@ IngestResult RunIngestRep(const Options& opt, const std::string& host,
                           const std::vector<uint64_t>& share_users,
                           std::atomic<uint64_t>& next_session) {
   IngestResult result;
+  // The server's accounting before this rep, read outside the clock.
+  uint64_t accounted_before = 0;
+  if (!WaitAccounted(host, port, server_id, 0, &accounted_before)) {
+    result.ok = false;
+    return result;
+  }
   std::atomic<uint64_t> reports{0};
   std::atomic<uint64_t> bytes{0};
   std::atomic<uint64_t> sessions{0};
@@ -292,13 +344,20 @@ IngestResult RunIngestRep(const Options& opt, const std::string& host,
     });
   }
   for (auto& t : threads) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const auto admitted = std::chrono::steady_clock::now();
   result.reports = reports.load();
   result.sessions = sessions.load();
-  result.ok = ok.load();
+  uint64_t accounted = 0;
+  result.ok = ok.load() &&
+              WaitAccounted(host, port, server_id,
+                            accounted_before + result.reports, &accounted);
+  const auto absorbed = std::chrono::steady_clock::now();
+  const double elapsed = std::chrono::duration<double>(absorbed - start).count();
+  const double admit_elapsed =
+      std::chrono::duration<double>(admitted - start).count();
   result.reports_per_sec = elapsed > 0 ? result.reports / elapsed : 0.0;
+  result.admitted_reports_per_sec =
+      admit_elapsed > 0 ? result.reports / admit_elapsed : 0.0;
   result.mb_per_sec = elapsed > 0 ? bytes.load() / elapsed / 1e6 : 0.0;
   return result;
 }
@@ -373,7 +432,8 @@ int RunSingle(const Options& opt) {
 
   // Ingest phase: --reps timed passes, medians reported.
   std::atomic<uint64_t> next_session{1};
-  std::vector<double> rep_reports_per_sec, rep_mb_per_sec;
+  std::vector<double> rep_reports_per_sec, rep_admitted_per_sec,
+      rep_mb_per_sec;
   uint64_t total_reports = 0, total_sessions = 0;
   bool ingest_ok = true;
   for (unsigned rep = 0; rep < opt.reps; ++rep) {
@@ -381,11 +441,15 @@ int RunSingle(const Options& opt) {
                                         share_users, next_session);
     ingest_ok = ingest_ok && r.ok;
     rep_reports_per_sec.push_back(r.reports_per_sec);
+    rep_admitted_per_sec.push_back(r.admitted_reports_per_sec);
     rep_mb_per_sec.push_back(r.mb_per_sec);
     total_reports += r.reports;
     total_sessions += r.sessions;
-    std::printf("loadgen: ingest rep %u/%u: %.0f reports/s (%.1f MB/s)\n",
-                rep + 1, opt.reps, r.reports_per_sec, r.mb_per_sec);
+    std::printf(
+        "loadgen: ingest rep %u/%u: %.0f reports/s absorbed (%.1f MB/s), "
+        "%.0f reports/s admitted\n",
+        rep + 1, opt.reps, r.reports_per_sec, r.mb_per_sec,
+        r.admitted_reports_per_sec);
   }
 
   // Finalize: an empty finalizing session after all data sessions — the
@@ -445,16 +509,17 @@ int RunSingle(const Options& opt) {
   query_conn.Close();
 
   const double ingest_median = Median(rep_reports_per_sec);
+  const double admitted_median = Median(rep_admitted_per_sec);
   const double mb_median = Median(rep_mb_per_sec);
   const double q_p50 = Percentile(latencies_us, 0.50);
   const double q_p90 = Percentile(latencies_us, 0.90);
   const double q_p99 = Percentile(latencies_us, 0.99);
   std::printf(
-      "loadgen: ingest median %.0f reports/s (%.1f MB/s) over %u reps, "
-      "%llu sessions\n"
+      "loadgen: ingest median %.0f reports/s absorbed (%.1f MB/s), "
+      "%.0f admitted, over %u reps, %llu sessions\n"
       "loadgen: query latency p50 %.1f us, p90 %.1f us, p99 %.1f us "
       "(%llu/%llu ok)\n",
-      ingest_median, mb_median, opt.reps,
+      ingest_median, mb_median, admitted_median, opt.reps,
       static_cast<unsigned long long>(total_sessions), q_p50, q_p90, q_p99,
       static_cast<unsigned long long>(queries_ok),
       static_cast<unsigned long long>(opt.queries));
@@ -475,18 +540,9 @@ int RunSingle(const Options& opt) {
   bool scrape_ok = false;
   {
     TcpClient stats_conn;
-    if (stats_conn.Connect(host, port)) {
-      ldp::obs::StatsQuery stats_query;
-      stats_query.query_id = 0x57A75;
-      stats_query.flags = ldp::obs::kStatsFlagIncludeGlobal;
-      const std::vector<uint8_t> reply =
-          stats_conn.Call(ldp::obs::SerializeStatsQuery(stats_query));
-      scrape_ok = ldp::obs::ParseStatsResponse(reply, &scrape) ==
-                      ldp::protocol::ParseError::kOk &&
-                  scrape.status == ldp::obs::StatsStatus::kOk &&
-                  scrape.query_id == stats_query.query_id;
-      stats_conn.Close();
-    }
+    scrape_ok = stats_conn.Connect(host, port) &&
+                ScrapeStats(stats_conn, ldp::obs::kStatsFlagIncludeGlobal,
+                            &scrape);
   }
   if (!scrape_ok) {
     std::fprintf(stderr, "loadgen: stats scrape failed\n");
@@ -551,11 +607,7 @@ int RunSingle(const Options& opt) {
     };
     // Every report the clients sent was either accepted or rejected by
     // the server — nothing vanished in the queues or on the wire.
-    const uint64_t accepted =
-        scrape.metrics.CounterOr(server_prefix + ".accepted");
-    const uint64_t rejected =
-        scrape.metrics.CounterOr(server_prefix + ".rejected");
-    check(accepted + rejected == total_reports,
+    check(AccountedReports(scrape, server_id) == total_reports,
           "accepted + rejected == reports sent");
     // Backpressure pauses always resolved.
     check(scrape.metrics.CounterOr("net.read_pauses") ==
@@ -625,6 +677,7 @@ int RunSingle(const Options& opt) {
         << ", \"workers\": " << workers << ", \"reps\": " << opt.reps
         << ", \"min_seconds\": " << opt.min_seconds << "},\n"
         << "  \"ingest\": {\"reports_per_sec_median\": " << ingest_median
+        << ", \"admitted_reports_per_sec_median\": " << admitted_median
         << ", \"mb_per_sec_median\": " << mb_median
         << ", \"total_reports\": " << total_reports
         << ", \"total_sessions\": " << total_sessions << "},\n"
@@ -698,7 +751,8 @@ int RunSingle(const Options& opt) {
 struct ShardOutcome {
   uint64_t reports = 0;
   uint64_t sessions = 0;
-  double rps = 0.0;   // median reports/s across the shard's reps
+  double rps = 0.0;   // median absorbed reports/s across the shard's reps
+  double admitted_rps = 0.0;  // the same, clock stopped at admitted
   double mbps = 0.0;
   uint64_t retries = 0;  // kWouldBlock bounces of the snapshot push
   int ok = 0;
@@ -764,7 +818,7 @@ int RunShardChild(const Options& opt, unsigned shard, int port_fd,
   }
 
   std::atomic<uint64_t> next_session{1};
-  std::vector<double> rep_rps, rep_mbps;
+  std::vector<double> rep_rps, rep_admitted_rps, rep_mbps;
   ShardOutcome out;
   out.ok = 1;
   for (unsigned rep = 0; rep < opt.reps; ++rep) {
@@ -773,11 +827,13 @@ int RunShardChild(const Options& opt, unsigned shard, int port_fd,
                                         next_session);
     if (!r.ok) out.ok = 0;
     rep_rps.push_back(r.reports_per_sec);
+    rep_admitted_rps.push_back(r.admitted_reports_per_sec);
     rep_mbps.push_back(r.mb_per_sec);
     out.reports += r.reports;
     out.sessions += r.sessions;
   }
   out.rps = Median(rep_rps);
+  out.admitted_rps = Median(rep_admitted_rps);
   out.mbps = Median(rep_mbps);
   svc.Drain();
 
@@ -821,10 +877,11 @@ int RunShardChild(const Options& opt, unsigned shard, int port_fd,
   front.Stop();
 
   dprintf(result_fd,
-          "reports=%llu sessions=%llu rps=%.3f mbps=%.3f retries=%llu "
-          "ok=%d\n",
+          "reports=%llu sessions=%llu rps=%.3f admitted_rps=%.3f mbps=%.3f "
+          "retries=%llu ok=%d\n",
           static_cast<unsigned long long>(out.reports),
-          static_cast<unsigned long long>(out.sessions), out.rps, out.mbps,
+          static_cast<unsigned long long>(out.sessions), out.rps,
+          out.admitted_rps, out.mbps,
           static_cast<unsigned long long>(out.retries), out.ok);
   close(result_fd);
   return out.ok ? 0 : 1;
@@ -944,10 +1001,10 @@ int RunFanIn(const Options& opt) {
     unsigned long long reports = 0, sessions = 0, retries = 0;
     if (in == nullptr ||
         std::fscanf(in,
-                    "reports=%llu sessions=%llu rps=%lf mbps=%lf "
-                    "retries=%llu ok=%d",
-                    &reports, &sessions, &out.rps, &out.mbps, &retries,
-                    &out.ok) != 6) {
+                    "reports=%llu sessions=%llu rps=%lf admitted_rps=%lf "
+                    "mbps=%lf retries=%llu ok=%d",
+                    &reports, &sessions, &out.rps, &out.admitted_rps,
+                    &out.mbps, &retries, &out.ok) != 7) {
       std::fprintf(stderr, "loadgen: shard %u reported nothing\n", s);
       out.ok = 0;
     }
@@ -967,13 +1024,15 @@ int RunFanIn(const Options& opt) {
         exited_ok && out.ok == 1 ? "" : "  [FAILED]");
   }
   uint64_t total_reports = 0, total_sessions = 0, total_retries = 0;
-  double aggregate_rps = 0.0, aggregate_mbps = 0.0;
+  double aggregate_rps = 0.0, aggregate_admitted_rps = 0.0,
+         aggregate_mbps = 0.0;
   std::vector<double> shard_rps;
   for (const ShardOutcome& out : outcomes) {
     total_reports += out.reports;
     total_sessions += out.sessions;
     total_retries += out.retries;
     aggregate_rps += out.rps;
+    aggregate_admitted_rps += out.admitted_rps;
     aggregate_mbps += out.mbps;
     shard_rps.push_back(out.rps);
   }
@@ -1056,18 +1115,9 @@ int RunFanIn(const Options& opt) {
   bool scrape_ok = false;
   {
     TcpClient stats_conn;
-    if (stats_conn.Connect("127.0.0.1", front.port())) {
-      ldp::obs::StatsQuery stats_query;
-      stats_query.query_id = 0x57A75;
-      stats_query.flags = ldp::obs::kStatsFlagIncludeGlobal;
-      const std::vector<uint8_t> reply =
-          stats_conn.Call(ldp::obs::SerializeStatsQuery(stats_query));
-      scrape_ok = ldp::obs::ParseStatsResponse(reply, &scrape) ==
-                      ldp::protocol::ParseError::kOk &&
-                  scrape.status == ldp::obs::StatsStatus::kOk &&
-                  scrape.query_id == stats_query.query_id;
-      stats_conn.Close();
-    }
+    scrape_ok = stats_conn.Connect("127.0.0.1", front.port()) &&
+                ScrapeStats(stats_conn, ldp::obs::kStatsFlagIncludeGlobal,
+                            &scrape);
   }
   if (!scrape_ok) {
     std::fprintf(stderr, "loadgen: stats scrape failed\n");
@@ -1124,12 +1174,7 @@ int RunFanIn(const Options& opt) {
           "exactly one finalize");
     // Every report a shard accepted or rejected is accounted for in the
     // merged aggregate — nothing was lost crossing process boundaries.
-    const std::string server_prefix = "server" + std::to_string(server_id);
-    const uint64_t accepted =
-        scrape.metrics.CounterOr(server_prefix + ".accepted");
-    const uint64_t rejected =
-        scrape.metrics.CounterOr(server_prefix + ".rejected");
-    check(accepted + rejected == total_reports,
+    check(AccountedReports(scrape, server_id) == total_reports,
           "merged accepted + rejected == reports sent to shards");
   }
 
@@ -1146,6 +1191,8 @@ int RunFanIn(const Options& opt) {
         << ", \"verify_fanin\": " << (opt.verify_fanin ? "true" : "false")
         << "},\n"
         << "  \"ingest\": {\"aggregate_reports_per_sec\": " << aggregate_rps
+        << ", \"aggregate_admitted_reports_per_sec\": "
+        << aggregate_admitted_rps
         << ", \"aggregate_mb_per_sec\": " << aggregate_mbps
         << ", \"shard_median_reports_per_sec\": " << shard_median_rps
         << ", \"aggregate_vs_shard_median\": "

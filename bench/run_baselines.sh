@@ -34,7 +34,8 @@ run() {
     --benchmark_repetitions="${LDP_BENCH_REPS:-5}" \
     --benchmark_report_aggregates_only=true \
     --benchmark_out="${out}" \
-    --benchmark_out_format=json
+    --benchmark_out_format=json \
+    --benchmark_context=host_cpus="$(nproc)"
 }
 
 if [[ "${what}" == "all" || "${what}" == "ingest" ]]; then
@@ -57,7 +58,8 @@ if [[ "${what}" == "all" || "${what}" == "multidim" ]]; then
 fi
 if [[ "${what}" == "all" || "${what}" == "stream" ]]; then
   # Streamed chunks through AggregatorService vs the bare
-  # AbsorbBatchSerialized loop (PR 5 acceptance: within 10% at D = 2^16).
+  # AbsorbBatchSerialized loop (within 10% at D = 2^16), plus the batch
+  # absorb kernel per report family (BM_AbsorbChunks).
   run bench_stream_ingest BENCH_micro_stream.json
 fi
 if [[ "${what}" == "all" || "${what}" == "net" ]]; then

@@ -35,7 +35,7 @@ HrrReport HrrEncode(uint64_t padded_domain, double eps, uint64_t value,
                     int sign, Rng& rng) {
   LDP_CHECK(IsPowerOfTwo(padded_domain));
   LDP_CHECK_LT(value, padded_domain);
-  LDP_CHECK(sign == 1 || sign == -1);
+  LDP_CHECK(IsUnitSign(sign));
   HrrReport report;
   report.coefficient_index = rng.UniformInt(padded_domain);
   int coefficient = sign * HadamardSign(value, report.coefficient_index);
@@ -54,13 +54,6 @@ void HrrOracle::SubmitValue(uint64_t value, Rng& rng) {
 void HrrOracle::SubmitSignedValue(uint64_t value, int sign, Rng& rng) {
   LDP_CHECK_LT(value, domain_);
   AbsorbReport(HrrEncode(padded_, eps_, value, sign, rng));
-}
-
-void HrrOracle::AbsorbReport(const HrrReport& report) {
-  LDP_CHECK_LT(report.coefficient_index, padded_);
-  LDP_CHECK(report.sign == 1 || report.sign == -1);
-  coefficient_sums_[report.coefficient_index] += report.sign;
-  ++reports_;
 }
 
 std::vector<double> HrrOracle::EstimateFractions() const {

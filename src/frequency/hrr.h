@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "frequency/frequency_oracle.h"
 
 namespace ldp::protocol {
@@ -35,6 +36,13 @@ struct HrrReport {
   uint64_t coefficient_index = 0;
   int8_t sign = +1;  // -1 or +1
 };
+
+/// True iff `sign` is -1 or +1. One compare and no data-dependent branch:
+/// sign + 1 must be 0 or 2. Report signs are coin flips, so the two-way
+/// `sign == 1 || sign == -1` mispredicts about half the time.
+inline bool IsUnitSign(int sign) {
+  return ((static_cast<uint32_t>(sign) + 1) & ~2u) == 0;
+}
 
 /// Stateless client-side HRR encoder: samples a coefficient of the
 /// (padded) Hadamard spectrum of sign * e_value and perturbs its sign with
@@ -62,8 +70,14 @@ class HrrOracle final : public FrequencyOracle {
   void SubmitSignedValue(uint64_t value, int sign, Rng& rng) override;
   /// Server-side ingestion of an externally produced report (see
   /// HrrEncode): the aggregation path used by the wire protocol. The
-  /// report's coefficient index must be < padded_domain().
-  void AbsorbReport(const HrrReport& report);
+  /// report's coefficient index must be < padded_domain() and its sign
+  /// -1 or +1. Inline: it is the per-report body of every HRR server.
+  void AbsorbReport(const HrrReport& report) {
+    LDP_CHECK_LT(report.coefficient_index, padded_);
+    LDP_CHECK(IsUnitSign(report.sign));
+    coefficient_sums_[report.coefficient_index] += report.sign;
+    ++reports_;
+  }
   std::vector<double> EstimateFractions() const override;
   std::unique_ptr<FrequencyOracle> CloneEmpty() const override;
   void MergeFrom(const FrequencyOracle& other) override;

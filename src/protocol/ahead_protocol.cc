@@ -178,34 +178,28 @@ const AdaptiveTree& AheadServer::tree() const {
   return *tree_;
 }
 
-bool AheadServer::Absorb(const AheadWireReport& report) {
+bool AheadServer::Accept(const AheadWireReport& report) {
   LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  if (report.phase == 1) {
-    // Phase-1 reports after the tree broadcast are stale: accepting them
-    // would let a client influence a decomposition other clients already
-    // encode against.
-    if (tree_.has_value() || report.level == 0 ||
-        report.level > shape_.height() ||
-        report.node >= shape_.NodesAtLevel(report.level)) {
-      stats_.CountRejected();
-      return false;
-    }
-    ++phase1_counts_[report.level - 1][report.node];
-    ++phase1_reports_;
-  } else if (report.phase == 2) {
-    if (!tree_.has_value() || report.level == 0 ||
-        report.level > tree_->num_levels() ||
-        report.node >= tree_->FrontierSize(report.level)) {
-      stats_.CountRejected();
-      return false;
-    }
-    ++level_counts_[report.level - 1][report.node];
-    ++phase2_reports_;
+  // Phase-1 reports after the tree broadcast are stale: accepting them
+  // would let a client influence a decomposition other clients already
+  // encode against. Phase-2 reports before it have no frontier yet.
+  std::vector<std::vector<uint64_t>>* counts = nullptr;
+  if (report.phase == 1 && !tree_.has_value()) {
+    counts = &phase1_counts_;
+  } else if (report.phase == 2 && tree_.has_value()) {
+    counts = &level_counts_;
   } else {
-    stats_.CountRejected();
     return false;
   }
-  stats_.CountAccepted();
+  // The tallies are the range checks: one row per complete-tree level
+  // (phase 1) or frontier (phase 2), one slot per node. level - 1 wraps
+  // for level 0.
+  const uint32_t slot = report.level - 1;
+  if (slot >= counts->size() || report.node >= (*counts)[slot].size()) {
+    return false;
+  }
+  ++(*counts)[slot][report.node];
+  ++(report.phase == 1 ? phase1_reports_ : phase2_reports_);
   return true;
 }
 

@@ -77,15 +77,12 @@ struct AheadLayout {
     AppendU8(out, static_cast<uint8_t>(report.level));
     AppendU64(out, report.node);
   }
-  static bool Read(WireReader& reader, AheadWireReport* report) {
-    uint8_t level = 0;
-    if (!reader.ReadU8(&report->phase) || !reader.ReadU8(&level) ||
-        !reader.ReadU64(&report->node) ||
-        (report->phase != 1 && report->phase != 2) || level == 0) {
-      return false;
-    }
-    report->level = level;
-    return true;
+  static bool Decode(const uint8_t* slot, AheadWireReport* report) {
+    report->phase = slot[0];
+    report->level = slot[1];
+    report->node = LoadU64(slot + 2);
+    // Phase 1 or 2: phase - 1 is 0 or 1 as an unsigned byte.
+    return (static_cast<uint8_t>(slot[0] - 1) <= 1) & (slot[1] != 0);
   }
 };
 
@@ -159,8 +156,10 @@ struct AheadServerConfig {
 
 /// Server-side aggregator: phase-1 per-level GRR histograms ->
 /// BuildTree() -> phase-2 per-frontier GRR aggregation -> Finalize() ->
-/// queries. Ingestion accounting, finalize discipline, and quantile
-/// search come from service::AggregatorServer.
+/// queries. Serialized ingestion and its accounting come from
+/// ReportServer (Absorb counts one report, a batch adds its totals once
+/// per message); finalize discipline and quantile search from
+/// service::AggregatorServer.
 class AheadServer final : public ReportServer<AheadServer, AheadLayout> {
  public:
   AheadServer(uint64_t domain, uint64_t fanout, double eps,
@@ -171,11 +170,6 @@ class AheadServer final : public ReportServer<AheadServer, AheadLayout> {
   uint64_t domain() const override { return shape_.domain(); }
   bool tree_built() const { return tree_.has_value(); }
   const AdaptiveTree& tree() const;
-
-  /// Ingests one report; false (counted in rejected_reports) on a phase
-  /// that does not match the current era — phase 2 before BuildTree,
-  /// phase 1 after — or an out-of-range node id.
-  bool Absorb(const AheadWireReport& report);
 
   /// Ends phase 1: derives the adaptive tree from the debiased coarse
   /// histogram and returns the serialized kAheadTree broadcast. Idempotent
@@ -202,6 +196,13 @@ class AheadServer final : public ReportServer<AheadServer, AheadLayout> {
   std::vector<double> EstimateFrequencies() const override;
 
  private:
+  friend ReportServer;
+
+  /// Checks and folds one report (ReportServer counts it): false on a
+  /// phase that does not match the current era — phase 2 before
+  /// BuildTree, phase 1 after — or an out-of-range level or node id.
+  bool Accept(const AheadWireReport& report);
+
   /// Builds the tree if phase 1 was never closed, then debiases and
   /// post-processes.
   void DoFinalize() override;

@@ -25,6 +25,7 @@ namespace ldp::protocol {
 
 /// The flat HRR report: one HRR coefficient sample,
 /// [index u64][sign u8] under kFlatHrr / kFlatHrrBatch (report_codec.h).
+/// Sign bytes above 1 are malformed; the bit decodes as 2 * bit - 1.
 struct HrrLayout {
   using Item = HrrReport;
   static MechanismTag tag() { return MechanismTag::kFlatHrr; }
@@ -34,14 +35,11 @@ struct HrrLayout {
     AppendU64(out, report.coefficient_index);
     AppendU8(out, report.sign > 0 ? 1 : 0);  // 0 -> -1, 1 -> +1
   }
-  static bool Read(WireReader& reader, HrrReport* report) {
-    uint8_t sign = 0;
-    if (!reader.ReadU64(&report->coefficient_index) ||
-        !reader.ReadU8(&sign) || sign > 1) {
-      return false;
-    }
-    report->sign = sign == 1 ? +1 : -1;
-    return true;
+  static bool Decode(const uint8_t* slot, HrrReport* report) {
+    const uint8_t sign = slot[8];
+    report->coefficient_index = LoadU64(slot);
+    report->sign = static_cast<int8_t>(2 * sign - 1);
+    return sign <= 1;
   }
 };
 
@@ -82,10 +80,12 @@ class FlatHrrServer final
 
   std::string Name() const override { return "FlatHrr"; }
 
-  /// Ingests one report; false (counted) when out of range.
-  bool Absorb(const HrrReport& report) { return AbsorbLevel(1, report); }
-
  private:
+  friend ReportServer;
+
+  /// False when the index is out of range.
+  bool Accept(const HrrReport& report) { return AcceptLevel(1, report); }
+
   service::StateKind state_kind() const override {
     return service::StateKind::kFlat;
   }

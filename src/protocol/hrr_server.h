@@ -9,6 +9,11 @@
 // queries, uncertainty, clone and merge are the mechanism's own — so a
 // served answer, stddev included, is bit-identical to the in-process
 // mechanism fed the same reports.
+//
+// The report check (AcceptLevel) is the per-report body of the batch
+// absorb kernel in report_codec.h. It has no branch on the report's
+// random sign, and it does no accounting: ReportServer counts accepted
+// and rejected reports once per message.
 
 #ifndef LDPRANGE_PROTOCOL_HRR_SERVER_H_
 #define LDPRANGE_PROTOCOL_HRR_SERVER_H_
@@ -56,17 +61,18 @@ class HrrMechanismServer : public service::AggregatorServer {
 
   /// The absorb hot path: checks level in [1, h], index below that
   /// level's padded domain and sign in {-1, +1}, then folds the report
-  /// into the level oracle. False (counted as a rejection) otherwise.
-  bool AbsorbLevel(uint32_t level, const HrrReport& report) {
+  /// into the level oracle. False otherwise. No accounting — the
+  /// server's ReportServer counts.
+  bool AcceptLevel(uint32_t level, const HrrReport& report) {
     LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-    if (level == 0 || level > levels_.size() ||
-        report.coefficient_index >= levels_[level - 1]->padded_domain() ||
-        (report.sign != 1 && report.sign != -1)) {
-      stats_.CountRejected();
+    // level - 1 wraps for level 0, so one compare covers [1, h].
+    const uint32_t slot = level - 1;
+    if (slot >= levels_.size() ||
+        report.coefficient_index >= levels_[slot]->padded_domain() ||
+        !IsUnitSign(report.sign)) {
       return false;
     }
-    levels_[level - 1]->AbsorbReport(report);
-    stats_.CountAccepted();
+    levels_[slot]->AbsorbReport(report);
     return true;
   }
 
@@ -92,11 +98,6 @@ class HrrMechanismServer : public service::AggregatorServer {
 class LevelHrrServer
     : public ReportServer<LevelHrrServer, LevelHrrLayout, HrrMechanismServer> {
  public:
-  /// Ingests one report; false (counted) on out-of-range level/index.
-  bool Absorb(const LevelHrrReport& report) {
-    return AbsorbLevel(report.level, report.inner);
-  }
-
   LevelHrrLayout report_layout() const { return LevelHrrLayout{tag_}; }
 
  protected:
@@ -105,6 +106,13 @@ class LevelHrrServer
         tag_(tag) {}
 
  private:
+  friend ReportServer;
+
+  /// False on an out-of-range level or index.
+  bool Accept(const LevelHrrReport& report) {
+    return AcceptLevel(report.level, report.inner);
+  }
+
   MechanismTag tag_;
 };
 

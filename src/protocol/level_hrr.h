@@ -35,7 +35,8 @@ struct LevelHrrReport {
 };
 
 /// The level-HRR layout under `single` (kHaarHrr or kTreeHrr); its batch
-/// tag sets the high bit. Level 0 and sign bytes above 1 are malformed.
+/// tag sets the high bit. Level 0 and sign bytes above 1 are malformed;
+/// the sign bit decodes arithmetically (2 * bit - 1), without a branch.
 struct LevelHrrLayout {
   using Item = LevelHrrReport;
   MechanismTag single;
@@ -54,17 +55,12 @@ struct LevelHrrLayout {
     AppendU64(out, report.inner.coefficient_index);
     AppendU8(out, report.inner.sign > 0 ? 1 : 0);  // 0 -> -1, 1 -> +1
   }
-  static bool Read(WireReader& reader, LevelHrrReport* report) {
-    uint8_t level = 0;
-    uint8_t sign = 0;
-    if (!reader.ReadU8(&level) ||
-        !reader.ReadU64(&report->inner.coefficient_index) ||
-        !reader.ReadU8(&sign) || sign > 1 || level == 0) {
-      return false;
-    }
-    report->level = level;
-    report->inner.sign = sign == 1 ? +1 : -1;
-    return true;
+  static bool Decode(const uint8_t* slot, LevelHrrReport* report) {
+    const uint8_t sign = slot[9];
+    report->level = slot[0];
+    report->inner.coefficient_index = LoadU64(slot + 1);
+    report->inner.sign = static_cast<int8_t>(2 * sign - 1);
+    return (sign <= 1) & (slot[0] != 0);
   }
 };
 

@@ -182,30 +182,21 @@ uint64_t MultiDimServer::report_allocation_count() const {
   return total;
 }
 
-bool MultiDimServer::Absorb(const MultiDimReport& report) {
+bool MultiDimServer::Accept(const MultiDimReport& report) {
   LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  if (report.levels.size() != dims_ || report.cell >= g_) {
-    stats_.CountRejected();
-    return false;
-  }
+  if (report.levels.size() != dims_ || report.cell >= g_) return false;
   const uint64_t radix = uint64_t{shape_.height()} + 1;
   uint64_t tuple = 0;
   uint64_t tuple_stride = 1;
   for (uint32_t dim = 0; dim < dims_; ++dim) {
     const uint8_t level = report.levels[dim];
-    if (level > shape_.height()) {
-      stats_.CountRejected();
-      return false;
-    }
+    if (level > shape_.height()) return false;
     tuple += uint64_t{level} * tuple_stride;
     tuple_stride *= radix;
   }
-  if (tuple == 0) {  // the all-root tuple carries no oracle report
-    stats_.CountRejected();
-    return false;
-  }
+  // The all-root tuple carries no oracle report.
+  if (tuple == 0) return false;
   oracles_[tuple]->AbsorbReport(report.seed, report.cell);
-  stats_.CountAccepted();
   return true;
 }
 

@@ -115,16 +115,16 @@ struct MultiDimLayout {
     AppendU64(out, report.seed);
     AppendU32(out, report.cell);
   }
-  bool Read(WireReader& reader, MultiDimReport* report) const {
+  bool Decode(const uint8_t* slot, MultiDimReport* report) const {
     report->levels.resize(dims);
-    bool nontrivial = false;
+    uint8_t any_level = 0;
     for (uint32_t dim = 0; dim < dims; ++dim) {
-      reader.ReadU8(&report->levels[dim]);
-      nontrivial = nontrivial || report->levels[dim] != 0;
+      report->levels[dim] = slot[dim];
+      any_level |= slot[dim];
     }
-    reader.ReadU64(&report->seed);
-    reader.ReadU32(&report->cell);
-    return reader.ok() && nontrivial;
+    report->seed = LoadU64(slot + dims);
+    report->cell = LoadU32(slot + dims + 8);
+    return any_level != 0;
   }
 };
 
@@ -175,9 +175,11 @@ class MultiDimClient {
 
 /// Server-side aggregator: one deferred-decode OLH oracle per non-trivial
 /// level tuple, box queries assembled by the shared cross-product walk.
-/// Ingestion accounting, finalize discipline, and quantile search come
-/// from service::AggregatorServer; RangeQuery answers are the axis-0
-/// marginal (remaining axes spanning their full domain).
+/// Serialized ingestion and its accounting come from ReportServer (Absorb
+/// counts one report, a batch adds its totals once per message); finalize
+/// discipline and quantile search from service::AggregatorServer.
+/// RangeQuery answers are the axis-0 marginal (remaining axes spanning
+/// their full domain).
 class MultiDimServer final
     : public ReportServer<MultiDimServer, MultiDimLayout> {
  public:
@@ -192,10 +194,6 @@ class MultiDimServer final
   uint64_t domain() const override { return shape_.domain(); }
   uint32_t dimensions() const override { return dims_; }
   uint64_t hash_range() const { return g_; }
-
-  /// Ingests one report; false (counted) on a dims mismatch, an
-  /// out-of-range level, an all-root tuple, or a cell >= hash_range().
-  bool Absorb(const MultiDimReport& report);
 
   /// System allocations ever made by the per-tuple pending-report columns.
   /// Arena-backed appends make this flat per absorbed chunk at steady
@@ -215,6 +213,13 @@ class MultiDimServer final
   std::vector<double> EstimateFrequencies() const override;
 
  private:
+  friend ReportServer;
+
+  /// Checks and folds one report (ReportServer counts it): false on a
+  /// dims mismatch, an out-of-range level, an all-root tuple, or a cell
+  /// >= hash_range().
+  bool Accept(const MultiDimReport& report);
+
   void DoFinalize() override;
   service::StateKind state_kind() const override {
     return service::StateKind::kGrid;

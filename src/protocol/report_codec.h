@@ -15,21 +15,25 @@
 //   MechanismTag batch_tag() const;                  batch tag
 //   size_t item_size() const;                        fixed item width
 //   void Append(std::vector<uint8_t>&, const Item&) const;
-//   bool Read(WireReader&, Item*) const;
+//   bool Decode(const uint8_t* slot, Item*) const;
 //
 // and, optionally, a header written before the item or the count:
 //
 //   void AppendHeader(std::vector<uint8_t>&) const;
 //   bool ReadHeader(WireReader&);     // validates; may set item_size()
 //
-// Read consumes the whole slot before it validates, so a batch stays
+// Decode reads one item_size() slot at fixed offsets — the callers have
+// already checked that the bytes are there — and reports whether the
+// item is well formed; it never advances anything, so a batch stays
 // aligned past a malformed item. Range checks against a server's shape
-// are the server's Absorb, not the layout's.
+// are the server's Accept, not the layout's.
 //
 // ReportServer is the matching server side: it implements
 // AggregatorServer's serialized ingestion for any server with a
-// non-virtual Absorb(Item), decoding batch items straight out of the
-// caller's buffer — no staging vector, no per-report virtual call.
+// non-virtual Accept(Item) that checks and folds one report, decoding
+// batch items straight out of the caller's buffer — no staging vector,
+// no per-report virtual call — and owns the accept/reject accounting:
+// one counter update per message, not per report.
 //
 // Every parser here is total over arbitrary bytes.
 
@@ -114,12 +118,14 @@ ParseError ParseReport(Layout layout, std::span<const uint8_t> bytes,
   ParseError err = report_codec_internal::Enter(layout.tag(), bytes, &env);
   if (err != ParseError::kOk) return err;
   WireReader reader(env.payload);
+  std::span<const uint8_t> slot;
   if (!report_codec_internal::ReadHeader(layout, reader) ||
-      reader.Remaining() != layout.item_size()) {
+      reader.Remaining() != layout.item_size() ||
+      !reader.ReadBytes(layout.item_size(), &slot)) {
     return ParseError::kBadPayload;
   }
   typename Layout::Item out{};
-  if (!layout.Read(reader, &out)) return ParseError::kBadPayload;
+  if (!layout.Decode(slot.data(), &out)) return ParseError::kBadPayload;
   *item = std::move(out);
   return ParseError::kOk;
 }
@@ -157,14 +163,17 @@ ParseError VisitReportBatch(Layout layout, std::span<const uint8_t> bytes,
   // Bound count before the exact-size check so count * item_size cannot
   // wrap.
   const size_t item_size = layout.item_size();
+  std::span<const uint8_t> slots;
   if (count > reader.Remaining() / item_size ||
-      reader.Remaining() != count * item_size) {
+      reader.Remaining() != count * item_size ||
+      !reader.ReadBytes(reader.Remaining(), &slots)) {
     return ParseError::kBadPayload;
   }
   uint64_t bad = 0;
   typename Layout::Item item{};
-  for (uint64_t i = 0; i < count; ++i) {
-    if (layout.Read(reader, &item)) {
+  for (const uint8_t* slot = slots.data(); slot != slots.data() + slots.size();
+       slot += item_size) {
+    if (layout.Decode(slot, &item)) {
       visit(std::as_const(item));
     } else {
       ++bad;
@@ -189,13 +198,15 @@ ParseError ParseReportBatch(const Layout& layout,
 
 /// AggregatorServer's serialized ingestion for a server whose reports use
 /// `Layout`. `Server` (the most-derived report owner, CRTP) provides a
-/// public, non-virtual `bool Absorb(const Layout::Item&)` that checks and
-/// counts one report, and may hide report_layout() when its layout has
-/// state (the tag of a level-HRR server).
+/// non-virtual `bool Accept(const Layout::Item&)` that checks one report
+/// and folds it into the aggregate, with no accounting, and may hide
+/// report_layout() when its layout has state (the tag of a level-HRR
+/// server). Accept may be private if `Server` befriends its ReportServer.
 ///
-/// Accounting: a message that fails to parse, or a batch that fails
-/// structurally, counts one rejection; each malformed batch slot counts
-/// one; every decoded item counts whatever Absorb counts.
+/// Accounting is ReportServer's: Absorb counts its one report; a message
+/// that fails to parse, or a batch that fails structurally, counts one
+/// rejection; a batch adds its accepted and rejected totals (malformed
+/// slots plus refused items) once, after the whole message.
 template <typename Server, typename Layout,
           typename Base = service::AggregatorServer>
 class ReportServer : public Base {
@@ -204,13 +215,25 @@ class ReportServer : public Base {
  public:
   Layout report_layout() const { return Layout{}; }
 
+  /// Ingests one decoded report; false (counted as a rejection) when the
+  /// server refuses it.
+  bool Absorb(const Item& item) {
+    const bool ok = self().Accept(item);
+    if (ok) {
+      this->stats_.CountAccepted();
+    } else {
+      this->stats_.CountRejected();
+    }
+    return ok;
+  }
+
   bool AbsorbSerialized(std::span<const uint8_t> bytes) final {
     Item item{};
     if (ParseReport(self().report_layout(), bytes, &item) != ParseError::kOk) {
       this->stats_.CountRejected();
       return false;
     }
-    return self().Absorb(item);
+    return Absorb(item);
   }
 
  protected:
@@ -219,12 +242,21 @@ class ReportServer : public Base {
   ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
                                      uint64_t* accepted) final {
     uint64_t ok = 0;
+    uint64_t decoded = 0;
     uint64_t malformed = 0;
     ParseError err = VisitReportBatch(
         self().report_layout(), bytes,
-        [this, &ok](const Item& item) { ok += self().Absorb(item) ? 1 : 0; },
+        [this, &ok, &decoded](const Item& item) {
+          ++decoded;
+          ok += self().Accept(item) ? 1 : 0;
+        },
         &malformed);
-    this->stats_.CountRejected(err == ParseError::kOk ? malformed : 1);
+    if (err == ParseError::kOk) {
+      this->stats_.CountAccepted(ok);
+      this->stats_.CountRejected(malformed + (decoded - ok));
+    } else {
+      this->stats_.CountRejected();
+    }
     if (accepted != nullptr) *accepted = ok;
     return err;
   }

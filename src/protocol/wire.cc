@@ -60,22 +60,14 @@ bool WireReader::ReadU8(uint8_t* v) {
 bool WireReader::ReadU32(uint32_t* v) {
   const uint8_t* p = nullptr;
   if (!Take(4, &p)) return false;
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  *v = out;
+  *v = LoadU32(p);
   return true;
 }
 
 bool WireReader::ReadU64(uint64_t* v) {
   const uint8_t* p = nullptr;
   if (!Take(8, &p)) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  *v = out;
+  *v = LoadU64(p);
   return true;
 }
 

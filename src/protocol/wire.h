@@ -10,8 +10,10 @@
 #ifndef LDPRANGE_PROTOCOL_WIRE_H_
 #define LDPRANGE_PROTOCOL_WIRE_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -36,6 +38,27 @@ void AppendVarU64(std::vector<uint8_t>& out, uint64_t v);
 /// bytes.size() <= UINT32_MAX.
 void AppendLengthPrefixedBytes(std::vector<uint8_t>& out,
                                std::span<const uint8_t> bytes);
+
+/// Loads a fixed-width little-endian integer from `p`, which must hold at
+/// least 4 (8) readable bytes. The unchecked counterpart of
+/// WireReader::ReadU32/ReadU64, for fixed-offset decoding of a slot whose
+/// size the caller has already validated.
+inline uint32_t LoadU32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+inline uint64_t LoadU64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
 
 /// Sequential bounds-checked reader over a byte buffer. All Read*
 /// methods return false (leaving the output untouched) once any read has

@@ -4,7 +4,11 @@
 // (flat/haar/tree/AHEAD) carried its own `accepted_`/`rejected_` pair with
 // subtly copy-pasted bookkeeping. ServerStats is the one struct they all
 // report through now: a report (or a structurally-rejected message) is
-// counted exactly once, on the ingestion call that saw it.
+// counted exactly once, on the ingestion call that saw it. A batch
+// message adds its accepted and rejected totals once, when the whole
+// message has been absorbed (protocol/report_codec.h's ReportServer), so
+// a concurrent scrape sees a batch's counts all at once, never part of
+// one.
 
 #ifndef LDPRANGE_SERVICE_SERVER_STATS_H_
 #define LDPRANGE_SERVICE_SERVER_STATS_H_
@@ -30,11 +34,11 @@ struct ServerStats {
   bool operator==(const ServerStats&) const = default;
 };
 
-/// The live accounting behind ServerStats: the same CountAccepted /
-/// CountRejected surface the protocol servers have always reported
-/// through, now on lock-free obs::Counter atomics so ingestion workers
-/// and stats scrapers never race (the service snapshots these without
-/// stopping ingestion).
+/// The live accounting behind ServerStats, on lock-free obs::Counter
+/// atomics so ingestion workers and stats scrapers never race (the
+/// service snapshots these without stopping ingestion). Callers add a
+/// whole message's counts in one call: an atomic add per report costs
+/// as much as absorbing the report.
 class ServerCounters {
  public:
   void CountAccepted(uint64_t n = 1) { accepted_.Add(n); }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -15,6 +17,24 @@ namespace {
 TEST(Hrr, KeepProbability) {
   HrrOracle oracle(8, std::log(3.0));
   EXPECT_NEAR(oracle.KeepProbability(), 0.75, 1e-12);
+}
+
+// A report sign is -1 or +1; the server's range checks refuse anything
+// else before it reaches the oracle, and the oracle still aborts on it.
+// HrrReport carries the sign as int8_t, so its INT_MIN is INT8_MIN;
+// HrrEncode takes an int and sees INT_MIN itself.
+TEST(HrrDeathTest, AbsorbReportChecksSign) {
+  HrrOracle oracle(8, 1.0);
+  oracle.AbsorbReport(HrrReport{3, -1});
+  oracle.AbsorbReport(HrrReport{3, +1});
+  for (int8_t sign : {int8_t{0}, int8_t{2}, int8_t{INT8_MIN}}) {
+    EXPECT_DEATH(oracle.AbsorbReport(HrrReport{3, sign}), "sign")
+        << "sign " << int{sign};
+  }
+  Rng rng(1);
+  for (int sign : {0, 2, INT_MIN}) {
+    EXPECT_DEATH(HrrEncode(8, 1.0, 3, sign, rng), "sign") << "sign " << sign;
+  }
 }
 
 TEST(Hrr, PadsToNextPowerOfTwo) {
