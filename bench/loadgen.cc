@@ -566,6 +566,14 @@ int RunSingle(const Options& opt) {
       scrape_quantiles(server_prefix + ".absorb_batch_ns", absorb_us);
   scrape_quantiles("service.queue_wait_ns", qwait_us);
   scrape_quantiles("service.query_ns", squery_us);
+  // Reactor time against strand time over the whole run.
+  auto scrape_sum_ms = [&](const std::string& name) {
+    const ldp::obs::HistogramValue* h = scrape.metrics.FindHistogram(name);
+    return h == nullptr ? 0.0 : static_cast<double>(h->histogram.sum) / 1e6;
+  };
+  const double recv_ms = scrape_sum_ms("net.recv_ns");
+  const double route_ms = scrape_sum_ms("net.route_ns");
+  const double absorb_ms = scrape_sum_ms(server_prefix + ".absorb_batch_ns");
   if (scrape_ok) {
     std::printf(
         "loadgen: server-side absorb_batch p50 %.1f us, p95 %.1f us, "
@@ -675,7 +683,9 @@ int RunSingle(const Options& opt) {
         << ", \"users\": " << opt.users << ", \"chunk\": " << opt.chunk
         << ", \"connections\": " << opt.connections
         << ", \"workers\": " << workers << ", \"reps\": " << opt.reps
-        << ", \"min_seconds\": " << opt.min_seconds << "},\n"
+        << ", \"min_seconds\": " << opt.min_seconds
+        << ", \"host_cpus\": " << std::thread::hardware_concurrency()
+        << "},\n"
         << "  \"ingest\": {\"reports_per_sec_median\": " << ingest_median
         << ", \"admitted_reports_per_sec_median\": " << admitted_median
         << ", \"mb_per_sec_median\": " << mb_median
@@ -694,7 +704,10 @@ int RunSingle(const Options& opt) {
         << "}"
         << ", \"query\": {\"p50_us\": " << squery_us[0]
         << ", \"p95_us\": " << squery_us[1] << ", \"p99_us\": "
-        << squery_us[2] << "}},\n"
+        << squery_us[2] << "}"
+        << ", \"reactor\": {\"recv_ms\": " << recv_ms
+        << ", \"route_ms\": " << route_ms
+        << ", \"absorb_ms\": " << absorb_ms << "}},\n"
         << "  \"service_stats\": {\"messages\": " << sstats.messages
         << ", \"chunks_absorbed\": " << sstats.chunks_absorbed
         << ", \"socket_pauses\": " << sstats.socket_pauses

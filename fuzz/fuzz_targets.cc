@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "net/tcp_front_end.h"
 #include "obs/stats_wire.h"
 #include "protocol/ahead_protocol.h"
 #include "protocol/envelope.h"
@@ -469,6 +470,122 @@ int FuzzStreamSession(const uint8_t* data, size_t size) {
       LDP_FUZZ_ASSERT(!std::isnan(e.estimate));
       LDP_FUZZ_ASSERT(!std::isnan(e.variance));
     }
+  }
+  return 0;
+}
+
+int FuzzTcpFraming(const uint8_t* data, size_t size) {
+  // [slab selector u8][split count u8][count x split u16][stream...]:
+  // slabs of 256 B to 4 KiB, so small inputs reach slab switches, lent
+  // small chunks and the oversized-frame buffer; each split is one "recv"
+  // of 1 byte to three slabs.
+  std::span<const uint8_t> bytes = AsSpan(data, size);
+  auto take_u8 = [&]() -> uint8_t {
+    if (bytes.empty()) return 0;
+    const uint8_t v = bytes[0];
+    bytes = bytes.subspan(1);
+    return v;
+  };
+  const size_t slab = size_t{256} << (take_u8() % 5);
+  std::vector<size_t> schedule(1 + take_u8() % 8);
+  for (size_t& split : schedule) {
+    const size_t v = take_u8() | (size_t{take_u8()} << 8);
+    split = 1 + v % (3 * slab);
+  }
+  const std::span<const uint8_t> stream = bytes;
+  constexpr uint64_t kMaxMessage = uint64_t{1} << 16;
+
+  auto build = [](service::AggregatorService& svc) {
+    service::ServerSpec spec;
+    spec.kind = service::ServerKind::kFlat;
+    spec.domain = 64;
+    spec.eps = 1.0;
+    svc.AddServer(service::MakeAggregatorServer(spec));
+    spec.kind = service::ServerKind::kTree;
+    spec.domain = 128;
+    svc.AddServer(service::MakeAggregatorServer(spec));
+  };
+
+  // Reference: frame the whole stream at once on the same magic and
+  // length rules and hand each frame to one-shot HandleMessage.
+  service::AggregatorService reference(/*worker_threads=*/0);
+  build(reference);
+  std::vector<std::vector<uint8_t>> expected;
+  size_t offset = 0;
+  bool expected_bad = false;
+  while (stream.size() - offset >= protocol::kEnvelopeHeaderSize) {
+    const std::span<const uint8_t> head = stream.subspan(offset);
+    if (head[0] != protocol::kEnvelopeMagic0 ||
+        head[1] != protocol::kEnvelopeMagic1) {
+      expected_bad = true;
+      break;
+    }
+    uint64_t total = protocol::kEnvelopeHeaderSize;
+    for (int i = 0; i < 4; ++i) total += uint64_t{head[4 + i]} << (8 * i);
+    if (total > kMaxMessage) {
+      expected_bad = true;
+      break;
+    }
+    if (head.size() < total) break;
+    std::vector<uint8_t> reply =
+        reference.HandleMessage(head.first(static_cast<size_t>(total)));
+    if (!reply.empty()) expected.push_back(std::move(reply));
+    offset += static_cast<size_t>(total);
+  }
+
+  // The slab framer, fed split by split as the front end feeds it.
+  service::AggregatorService svc(/*worker_threads=*/0);
+  build(svc);
+  net::SlabFramer framer(net::SlabPool::Create(slab), kMaxMessage);
+  std::vector<std::vector<uint8_t>> got;
+  bool got_bad = false;
+  size_t fed = 0;
+  for (size_t step = 0; fed < stream.size() && !got_bad; ++step) {
+    const std::span<uint8_t> room = framer.WritableSpan();
+    LDP_FUZZ_ASSERT(!room.empty());
+    const size_t n = std::min(
+        {schedule[step % schedule.size()], room.size(), stream.size() - fed});
+    std::copy_n(stream.data() + fed, n, room.data());
+    framer.Commit(n);
+    fed += n;
+    while (true) {
+      std::vector<uint8_t> reply;
+      uint64_t blocked = 0;
+      const net::SlabFramer::Step routed =
+          framer.RouteNext(svc, &reply, &blocked);
+      LDP_FUZZ_ASSERT(routed != net::SlabFramer::Step::kWouldBlock);
+      if (routed == net::SlabFramer::Step::kBadFrame) got_bad = true;
+      if (routed != net::SlabFramer::Step::kRouted) break;
+      if (!reply.empty()) got.push_back(std::move(reply));
+    }
+  }
+
+  // Same frames, same order, same outcome — whatever the split.
+  LDP_FUZZ_ASSERT(got_bad == expected_bad);
+  if (!got_bad) LDP_FUZZ_ASSERT(framer.buffered() == stream.size() - offset);
+  LDP_FUZZ_ASSERT(got.size() == expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    // Scrape answers carry live latencies; everything else is exact.
+    if (got[i].size() > 3 &&
+        got[i][3] ==
+            static_cast<uint8_t>(protocol::MechanismTag::kStatsResponse)) {
+      LDP_FUZZ_ASSERT(expected[i].size() > 3 && expected[i][3] == got[i][3]);
+    } else {
+      LDP_FUZZ_ASSERT(got[i] == expected[i]);
+    }
+  }
+  LDP_FUZZ_ASSERT(svc.stats() == reference.stats());
+  for (uint64_t id = 0; id < 2; ++id) {
+    LDP_FUZZ_ASSERT(svc.server(id).stats() == reference.server(id).stats());
+    svc.FinalizeServer(id);
+    reference.FinalizeServer(id);
+    service::RangeQueryRequest request;
+    request.query_id = 3;
+    request.server_id = id;
+    request.intervals = {{0, svc.server(id).domain() - 1}, {2, 40}};
+    const std::vector<uint8_t> query =
+        service::SerializeRangeQueryRequest(request);
+    LDP_FUZZ_ASSERT(svc.HandleMessage(query) == reference.HandleMessage(query));
   }
   return 0;
 }

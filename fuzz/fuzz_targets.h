@@ -57,6 +57,13 @@ int FuzzMultiDimAbsorb(const uint8_t* data, size_t size);
 /// with a parseable, non-NaN response.
 int FuzzStreamSession(const uint8_t* data, size_t size);
 
+/// The TCP front end's SlabFramer fed a byte stream in a fuzzed split
+/// schedule (one "recv" of 1 byte to three slabs, at a fuzzed slab size):
+/// every response, every counter and the final answers must equal
+/// one-shot HandleMessage of the same frames, and a framing violation or
+/// trailing partial frame must be seen at the same byte.
+int FuzzTcpFraming(const uint8_t* data, size_t size);
+
 }  // namespace ldp::fuzz
 
 #endif  // LDPRANGE_FUZZ_FUZZ_TARGETS_H_

@@ -315,6 +315,80 @@ void EmitStream() {
             ldp::service::SerializeRangeQueryRequest(query));
 }
 
+// TCP framing seeds: [slab selector][split count][splits u16...] then a
+// byte stream (fuzz_targets.cc FuzzTcpFraming). Slab 256 B makes every
+// chunk below an oversized frame; slab 4 KiB lends the small ones.
+void EmitTcpFraming() {
+  using ldp::service::kStreamFlagFinalize;
+  Rng rng(909);
+  FlatHrrClient flat(kFlatDomain, kEps);
+  std::vector<uint64_t> many(90);
+  for (size_t i = 0; i < many.size(); ++i) many[i] = (7 * i) % kFlatDomain;
+  const std::vector<uint8_t> big = flat.EncodeUsersSerialized(many, rng);
+  const std::vector<uint64_t> few = {2, 4, 8};
+  const std::vector<uint8_t> small = flat.EncodeUsersSerialized(few, rng);
+
+  auto append = [](std::vector<uint8_t>& out, const std::vector<uint8_t>& m) {
+    out.insert(out.end(), m.begin(), m.end());
+  };
+  auto prefix = [](uint8_t slab_selector, std::vector<uint16_t> splits) {
+    std::vector<uint8_t> out = {slab_selector,
+                                static_cast<uint8_t>(splits.size() - 1)};
+    for (uint16_t split : splits) {
+      out.push_back(static_cast<uint8_t>(split & 0xFF));
+      out.push_back(static_cast<uint8_t>(split >> 8));
+    }
+    return out;
+  };
+  auto session = [&](std::vector<uint8_t>& out, uint64_t id,
+                     const std::vector<uint8_t>& nested, size_t chunks) {
+    append(out, ldp::service::SerializeStreamBegin({id, 0}));
+    for (size_t c = 0; c < chunks; ++c) {
+      append(out, ldp::service::SerializeStreamChunk(id, c, nested));
+    }
+    append(out, ldp::service::SerializeStreamEnd(
+                    {id, chunks, kStreamFlagFinalize}));
+  };
+  ldp::service::RangeQueryRequest query;
+  query.query_id = 4;
+  query.server_id = 0;
+  query.intervals = {{0, 63}, {5, 10}};
+  const std::vector<uint8_t> query_bytes =
+      ldp::service::SerializeRangeQueryRequest(query);
+
+  // One-byte recvs through 256-byte slabs: every chunk is oversized.
+  std::vector<uint8_t> seed = prefix(0, {0});
+  session(seed, 1, big, 3);
+  append(seed, query_bytes);
+  WriteFile("tcp_framing", "oversized_one_byte_splits", seed);
+
+  // Mixed splits through 1 KiB slabs: frames straddle slab ends.
+  seed = prefix(2, {6, 299, 2500});
+  append(seed, query_bytes);
+  session(seed, 2, big, 5);
+  append(seed, query_bytes);
+  WriteFile("tcp_framing", "straddling_mixed_splits", seed);
+
+  // 4 KiB slabs: small chunks are lent and copied, big ones pinned.
+  seed = prefix(4, {100, 1});
+  session(seed, 3, small, 4);
+  session(seed, 4, big, 2);
+  append(seed, query_bytes);
+  WriteFile("tcp_framing", "lent_and_pinned_chunks", seed);
+
+  // A framing violation mid-stream, and a partial frame at the end.
+  seed = prefix(1, {40});
+  session(seed, 5, small, 2);
+  std::vector<uint8_t> bad = query_bytes;
+  bad[0] ^= 0xFF;
+  append(seed, bad);
+  WriteFile("tcp_framing", "bad_magic_midstream", seed);
+  seed = prefix(3, {13, 700});
+  session(seed, 6, big, 1);
+  append(seed, std::vector<uint8_t>(big.begin(), big.begin() + 20));
+  WriteFile("tcp_framing", "truncated_tail", seed);
+}
+
 // Stats-plane seeds: a realistic scrape response built from a live
 // registry (counters + gauge + log2 histograms), plus near-valid frames
 // pinning the canonical-form checks the parser enforces.
@@ -543,6 +617,7 @@ int main(int argc, char** argv) {
   EmitOracles();
   EmitAdversarial();
   EmitStream();
+  EmitTcpFraming();
   EmitStats();
   EmitState();
   return 0;

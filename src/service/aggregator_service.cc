@@ -87,97 +87,109 @@ const AggregatorServer& AggregatorService::server(uint64_t server_id) const {
   return *entries_[server_id]->server;
 }
 
+namespace {
+
+// Owns a message the caller handed over (HandleMessage(vector&&)) or a
+// copy of a chunk's batch whose bytes were only lent for the call.
+class OwnedBytes final : public ChunkOwner {
+ public:
+  explicit OwnedBytes(std::vector<uint8_t> bytes) : bytes_(std::move(bytes)) {}
+  std::span<const uint8_t> bytes() const { return bytes_; }
+
+ private:
+  void Release() noexcept override { delete this; }
+  std::vector<uint8_t> bytes_;
+};
+
+}  // namespace
+
 std::vector<uint8_t> AggregatorService::HandleMessage(
     std::span<const uint8_t> bytes) {
-  // Counters are registry atomics: no lock needed just to account.
-  ++stats_.messages;
-  Envelope env;
-  if (DecodeEnvelope(bytes, &env) != protocol::ParseError::kOk) {
-    ++stats_.malformed_messages;
-    return {};
-  }
-  switch (env.mechanism) {
-    case MechanismTag::kStreamBegin:
-      HandleStreamBegin(bytes);
-      return {};
-    case MechanismTag::kStreamChunk: {
-      StreamChunk msg;
-      if (ParseStreamChunk(bytes, &msg) != protocol::ParseError::kOk) {
-        ++stats_.malformed_messages;
-        return {};
-      }
-      // Copy the nested batch out of the caller's buffer before it goes
-      // async (the move overload keeps the whole buffer instead).
-      QueuedChunk chunk;
-      chunk.buffer.assign(msg.payload.begin(), msg.payload.end());
-      EnqueueChunk(msg.session_id, msg.sequence, std::move(chunk));
-      return {};
-    }
-    case MechanismTag::kStreamEnd:
-      HandleStreamEnd(bytes);
-      return {};
-    case MechanismTag::kRangeQueryRequest:
-      return HandleRangeQuery(bytes);
-    case MechanismTag::kMultiDimQuery:
-      return HandleMultiDimQuery(bytes);
-    case MechanismTag::kStatsQuery:
-      return HandleStatsQuery(bytes);
-    case MechanismTag::kStateMerge:
-      return HandleStateMerge(bytes);
-    default: {
-      // Bare reports/batches are not routable here: they carry no target
-      // server id. Stream them (or ingest in-process via the server's
-      // AbsorbBatchSerialized) instead.
-      ++stats_.malformed_messages;
-      return {};
-    }
-  }
+  std::vector<uint8_t> response;
+  Route(ChunkRef(), bytes, /*block=*/true, &response, nullptr);
+  return response;
 }
 
 std::vector<uint8_t> AggregatorService::HandleMessage(
     std::vector<uint8_t>&& bytes) {
-  // Only the chunk path benefits from ownership (its payload outlives
-  // the call on the ingestion queue); everything else reads the bytes
-  // synchronously.
-  Envelope env;
-  if (DecodeEnvelope(bytes, &env) == protocol::ParseError::kOk &&
-      env.mechanism == MechanismTag::kStreamChunk) {
-    StreamChunk msg;
-    ++stats_.messages;
-    if (ParseStreamChunk(bytes, &msg) != protocol::ParseError::kOk) {
-      ++stats_.malformed_messages;
-      return {};
-    }
-    QueuedChunk chunk;
-    chunk.nested_offset =
-        static_cast<size_t>(msg.payload.data() - bytes.data());
-    chunk.buffer = std::move(bytes);
-    EnqueueChunk(msg.session_id, msg.sequence, std::move(chunk));
-    return {};
-  }
-  return HandleMessage(std::span<const uint8_t>(bytes));
+  auto* owned = new OwnedBytes(std::move(bytes));
+  const ChunkRef owner(owned);
+  std::vector<uint8_t> response;
+  Route(owner, owned->bytes(), /*block=*/true, &response, nullptr);
+  return response;
 }
 
 AggregatorService::AdmitResult AggregatorService::TryHandleMessage(
-    std::vector<uint8_t>& bytes, std::vector<uint8_t>* response,
-    uint64_t* blocked_server) {
+    const ChunkRef& owner, std::span<const uint8_t> bytes,
+    std::vector<uint8_t>* response, uint64_t* blocked_server) {
   response->clear();
+  return Route(owner, bytes, /*block=*/false, response, blocked_server);
+}
+
+AggregatorService::AdmitResult AggregatorService::Route(
+    const ChunkRef& owner, std::span<const uint8_t> bytes, bool block,
+    std::vector<uint8_t>* response, uint64_t* blocked_server) {
+  // Counters are registry atomics: no lock needed just to account. A
+  // chunk counts itself once it is handled, so a would-blocked chunk that
+  // is re-presented later is one message, not two.
   Envelope env;
-  if (DecodeEnvelope(bytes, &env) != protocol::ParseError::kOk ||
-      env.mechanism != MechanismTag::kStreamChunk) {
-    // Everything except a chunk is handled synchronously and can never
-    // block; delegate to the owning overload.
-    *response = HandleMessage(std::move(bytes));
+  if (DecodeEnvelope(bytes, &env) != protocol::ParseError::kOk) {
+    ++stats_.messages;
+    ++stats_.malformed_messages;
     return AdmitResult::kHandled;
   }
+  if (env.mechanism == MechanismTag::kStreamChunk) {
+    return AdmitChunk(owner, bytes, block, blocked_server);
+  }
+  ++stats_.messages;
+  switch (env.mechanism) {
+    case MechanismTag::kStreamBegin:
+      HandleStreamBegin(bytes);
+      break;
+    case MechanismTag::kStreamEnd:
+      HandleStreamEnd(bytes);
+      break;
+    case MechanismTag::kRangeQueryRequest:
+      *response = HandleRangeQuery(bytes);
+      break;
+    case MechanismTag::kMultiDimQuery:
+      *response = HandleMultiDimQuery(bytes);
+      break;
+    case MechanismTag::kStatsQuery:
+      *response = HandleStatsQuery(bytes);
+      break;
+    case MechanismTag::kStateMerge:
+      *response = HandleStateMerge(bytes);
+      break;
+    default:
+      // Bare reports/batches are not routable here: they carry no target
+      // server id. Stream them (or ingest in-process via the server's
+      // AbsorbBatchSerialized) instead.
+      ++stats_.malformed_messages;
+      break;
+  }
+  return AdmitResult::kHandled;
+}
+
+AggregatorService::AdmitResult AggregatorService::AdmitChunk(
+    const ChunkRef& owner, std::span<const uint8_t> bytes, bool block,
+    uint64_t* blocked_server) {
   StreamChunk msg;
   if (ParseStreamChunk(bytes, &msg) != protocol::ParseError::kOk) {
     ++stats_.messages;
     ++stats_.malformed_messages;
     return AdmitResult::kHandled;
   }
-  const size_t nested_offset =
-      static_cast<size_t>(msg.payload.data() - bytes.data());
+  // Lent bytes are copied before the chunk can go async — outside the
+  // lock, so the reactor never allocates while holding mu_.
+  ChunkRef copied;
+  std::span<const uint8_t> batch = msg.payload;
+  if (!owner) {
+    auto* copy = new OwnedBytes(
+        std::vector<uint8_t>(msg.payload.begin(), msg.payload.end()));
+    copied = ChunkRef(copy);
+    batch = copy->bytes();
+  }
   std::unique_lock<std::mutex> lock(mu_);
   auto it = sessions_.find(msg.session_id);
   if (it == sessions_.end()) {
@@ -186,7 +198,8 @@ AggregatorService::AdmitResult AggregatorService::TryHandleMessage(
     return AdmitResult::kHandled;
   }
   IngestSession& session = it->second;
-  ServerEntry& entry = *entries_[session.server_id()];
+  const uint64_t server_id = session.server_id();
+  ServerEntry& entry = *entries_[server_id];
   if (entry.state != EntryState::kLive || session.ended()) {
     ++stats_.messages;
     ++stats_.late_chunks;
@@ -194,28 +207,55 @@ AggregatorService::AdmitResult AggregatorService::TryHandleMessage(
   }
   if (!session.CanAdmit(msg.sequence)) {
     // Duplicates and out-of-policy sequences are dropped without ever
-    // consulting the queue — same accounting as the blocking path, and
-    // no pause for a chunk that would not be admitted anyway.
+    // consulting the queue: no wait or pause for a chunk that would not
+    // be admitted anyway.
     ++stats_.messages;
     ++stats_.duplicate_chunks;
     return AdmitResult::kHandled;
   }
-  if (!workers_.empty() && entry.queue.size() >= queue_high_water_) {
-    // The strand is congested. Unlike EnqueueChunk this does NOT block
-    // and does NOT admit the sequence: the caller pauses its input and
+  // Bounded queue. Inline mode never queues (ScheduleLocked absorbs
+  // synchronously), so only pooled services can reach the bound.
+  const bool full =
+      !workers_.empty() && entry.queue.size() >= queue_high_water_;
+  if (full && !block) {
+    // Does NOT admit the sequence: the caller pauses its input and
     // re-presents the identical bytes after the queue-drain hook fires.
     ++stats_.socket_pauses;
-    if (blocked_server != nullptr) *blocked_server = session.server_id();
+    if (blocked_server != nullptr) *blocked_server = server_id;
     return AdmitResult::kWouldBlock;
   }
   ++stats_.messages;
   LDP_CHECK(session.AdmitChunk(msg.sequence));
-  const uint64_t server_id = session.server_id();
-  QueuedChunk chunk;
-  chunk.nested_offset = nested_offset;
-  chunk.buffer = std::move(bytes);
-  chunk.enqueue_ns = obs::NowNanos();
-  entry.queue.push_back(std::move(chunk));
+  if (full) {
+    // The producer BLOCKS until the strand drains — backpressure instead
+    // of unbounded buffering or drops. The sequence is already recorded,
+    // so a concurrent replay is a duplicate and End counts it. References
+    // stay valid across the wait: entries_ holds pointers and sessions_
+    // is node-based.
+    ++stats_.backpressure_waits;
+    queue_space_.wait(lock, [&] {
+      return stopping_ || entry.state != EntryState::kLive ||
+             entry.queue.size() < queue_high_water_;
+    });
+    if (stopping_) return AdmitResult::kHandled;
+    if (entry.state != EntryState::kLive) {
+      // The server finalized while we were blocked; the chunk is late
+      // exactly as if it had arrived after the transition.
+      ++stats_.late_chunks;
+      return AdmitResult::kHandled;
+    }
+  }
+  if (entry.queue.capacity() == 0) {
+    // Once per strand life (FinalizeClaimedLocked gives it back): the
+    // queue never holds more than the bound, so up to the default bound
+    // it never regrows.
+    entry.queue.reserve(workers_.empty()
+                            ? 1
+                            : std::min(queue_high_water_,
+                                       kDefaultQueueHighWater));
+  }
+  entry.queue.push_back(QueuedChunk{owner ? owner : std::move(copied), batch,
+                                    obs::NowNanos()});
   ++stats_.chunks_enqueued;
   queue_depth_->Add(1);
   ScheduleLocked(lock, server_id);
@@ -252,55 +292,6 @@ void AggregatorService::HandleStreamBegin(std::span<const uint8_t> bytes) {
   } else {
     ++stats_.sessions_begun;
   }
-}
-
-void AggregatorService::EnqueueChunk(uint64_t session_id, uint64_t sequence,
-                                     QueuedChunk chunk) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    ++stats_.unknown_sessions;
-    return;
-  }
-  IngestSession& session = it->second;
-  ServerEntry& entry = *entries_[session.server_id()];
-  if (entry.state != EntryState::kLive) {
-    ++stats_.late_chunks;
-    return;
-  }
-  if (session.ended()) {
-    ++stats_.late_chunks;
-    return;
-  }
-  if (!session.AdmitChunk(sequence)) {
-    ++stats_.duplicate_chunks;
-    return;
-  }
-  const uint64_t server_id = session.server_id();
-  // Bounded queue: at the high-water mark the producer BLOCKS until the
-  // strand drains — backpressure instead of unbounded buffering or drops.
-  // Inline mode never queues (ScheduleLocked absorbs synchronously), so
-  // only pooled services can reach the bound. References stay valid
-  // across the wait: entries_ holds pointers and sessions_ is node-based.
-  if (!workers_.empty() && entry.queue.size() >= queue_high_water_) {
-    ++stats_.backpressure_waits;
-    queue_space_.wait(lock, [&] {
-      return stopping_ || entry.state != EntryState::kLive ||
-             entry.queue.size() < queue_high_water_;
-    });
-    if (stopping_) return;
-    if (entry.state != EntryState::kLive) {
-      // The server finalized while we were blocked; the chunk is late
-      // exactly as if it had arrived after the transition.
-      ++stats_.late_chunks;
-      return;
-    }
-  }
-  chunk.enqueue_ns = obs::NowNanos();
-  entry.queue.push_back(std::move(chunk));
-  ++stats_.chunks_enqueued;
-  queue_depth_->Add(1);
-  ScheduleLocked(lock, server_id);
 }
 
 void AggregatorService::HandleStreamEnd(std::span<const uint8_t> bytes) {
@@ -639,7 +630,7 @@ MergeStatus AggregatorService::RunFanInMergeLocked(
     MergeSession group) {
   // Drain-and-claim under one lock hold, exactly like FinalizeServer: no
   // worker can slip an absorb between the idle wait and the claim.
-  idle_.wait(lock, [this] { return busy_entries_ == 0 && ready_.empty(); });
+  idle_.wait(lock, [this] { return busy_entries_ == 0 && ReadyEmptyLocked(); });
   ServerEntry& entry = *entries_[server_id];
   if (entry.state != EntryState::kLive) return MergeStatus::kAlreadyFinalized;
   entry.scheduled = true;
@@ -694,7 +685,7 @@ MergeStatus AggregatorService::RunFanInMergeLocked(
     FinalizeClaimedLocked(lock, server_id);
   }
   entry.scheduled = false;
-  if (--busy_entries_ == 0 && ready_.empty()) {
+  if (--busy_entries_ == 0 && ReadyEmptyLocked()) {
     idle_.notify_all();
   }
   return status;
@@ -711,8 +702,24 @@ void AggregatorService::ScheduleLocked(std::unique_lock<std::mutex>& lock,
     ProcessEntry(lock, entry_index);
     return;
   }
-  ready_.push_back(entry_index);
+  PushReadyLocked(entry_index);
   work_ready_.notify_one();
+}
+
+void AggregatorService::PushReadyLocked(size_t entry_index) {
+  if (ready_tail_ == kNoEntry) {
+    ready_head_ = entry_index;
+  } else {
+    entries_[ready_tail_]->next_ready = entry_index;
+  }
+  ready_tail_ = entry_index;
+}
+
+size_t AggregatorService::PopReadyLocked() {
+  const size_t index = ready_head_;
+  ready_head_ = std::exchange(entries_[index]->next_ready, kNoEntry);
+  if (ready_head_ == kNoEntry) ready_tail_ = kNoEntry;
+  return index;
 }
 
 // Drains one claimed entry: its queue, then any pending finalize. The
@@ -724,8 +731,8 @@ void AggregatorService::ProcessEntry(std::unique_lock<std::mutex>& lock,
   ServerEntry& entry = *entries_[entry_index];
   while (true) {
     if (!entry.queue.empty()) {
-      std::deque<QueuedChunk> batch;
-      batch.swap(entry.queue);
+      std::vector<QueuedChunk>& batch = entry.draining;
+      batch.swap(entry.queue);  // the queue continues in the spare
       queue_space_.notify_all();  // the strand drained: unblock producers
       lock.unlock();
       NotifyQueueDrain(entry_index);  // paused socket reads re-arm
@@ -733,13 +740,15 @@ void AggregatorService::ProcessEntry(std::unique_lock<std::mutex>& lock,
       for (const QueuedChunk& chunk : batch) {
         queue_wait_ns_->Record(picked_up_ns - chunk.enqueue_ns);
         // Parse/range rejections are counted by the server itself.
-        entry.server->AbsorbBatchSerialized(
-            std::span<const uint8_t>(chunk.buffer)
-                .subspan(chunk.nested_offset));
+        entry.server->AbsorbBatchSerialized(chunk.batch);
       }
-      queue_depth_->Sub(static_cast<int64_t>(batch.size()));
+      const size_t absorbed = batch.size();
+      queue_depth_->Sub(static_cast<int64_t>(absorbed));
+      // Drop the buffer references before counting the chunks absorbed:
+      // a caller that waits on the count finds the buffers released.
+      batch.clear();
       lock.lock();
-      stats_.chunks_absorbed += batch.size();
+      stats_.chunks_absorbed += absorbed;
       continue;
     }
     if (entry.finalize_pending && entry.state == EntryState::kLive) {
@@ -751,7 +760,7 @@ void AggregatorService::ProcessEntry(std::unique_lock<std::mutex>& lock,
     break;
   }
   entry.scheduled = false;
-  if (--busy_entries_ == 0 && ready_.empty()) {
+  if (--busy_entries_ == 0 && ReadyEmptyLocked()) {
     idle_.notify_all();
   }
 }
@@ -760,6 +769,11 @@ void AggregatorService::FinalizeClaimedLocked(
     std::unique_lock<std::mutex>& lock, size_t entry_index) {
   ServerEntry& entry = *entries_[entry_index];
   entry.state = EntryState::kFinalizing;
+  if (entry.queue.empty()) {
+    // Nothing can queue on a server past kLive: hand the capacity back.
+    std::vector<QueuedChunk>().swap(entry.queue);
+    std::vector<QueuedChunk>().swap(entry.draining);
+  }
   queue_space_.notify_all();  // blocked producers now observe "late"
   lock.unlock();
   NotifyQueueDrain(entry_index);  // paused reads re-check (now "late")
@@ -772,17 +786,15 @@ void AggregatorService::FinalizeClaimedLocked(
 void AggregatorService::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    work_ready_.wait(lock, [this] { return stopping_ || !ready_.empty(); });
+    work_ready_.wait(lock, [this] { return stopping_ || !ReadyEmptyLocked(); });
     if (stopping_) return;
-    size_t index = ready_.front();
-    ready_.pop_front();
-    ProcessEntry(lock, index);
+    ProcessEntry(lock, PopReadyLocked());
   }
 }
 
 void AggregatorService::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return busy_entries_ == 0 && ready_.empty(); });
+  idle_.wait(lock, [this] { return busy_entries_ == 0 && ReadyEmptyLocked(); });
 }
 
 bool AggregatorService::FinalizeServer(uint64_t server_id) {
@@ -791,7 +803,7 @@ bool AggregatorService::FinalizeServer(uint64_t server_id) {
   // Drain and claim under ONE lock hold: releasing between the idle
   // wait and the claim would let a concurrent chunk hand the entry to a
   // worker, and finalizing against an in-flight absorb is a data race.
-  idle_.wait(lock, [this] { return busy_entries_ == 0 && ready_.empty(); });
+  idle_.wait(lock, [this] { return busy_entries_ == 0 && ReadyEmptyLocked(); });
   ServerEntry& entry = *entries_[server_id];
   if (entry.state != EntryState::kLive) return false;
   // Claim the entry like a worker would so concurrent Drain()s wait and
@@ -801,7 +813,7 @@ bool AggregatorService::FinalizeServer(uint64_t server_id) {
   ++busy_entries_;
   FinalizeClaimedLocked(lock, server_id);
   entry.scheduled = false;
-  if (--busy_entries_ == 0 && ready_.empty()) {
+  if (--busy_entries_ == 0 && ReadyEmptyLocked()) {
     idle_.notify_all();
   }
   return true;

@@ -21,8 +21,10 @@
 // Per-server queues are BOUNDED: past the configured high-water mark the
 // producer blocks inside HandleMessage until the strand drains (counted
 // in stats().backpressure_waits). Memory is then bounded by
-// servers x high_water x chunk size regardless of how fast clients push,
-// and no admitted chunk is ever dropped — backpressure, not load shed.
+// servers x high_water x chunk size regardless of how fast clients push
+// (times the socket front end's pinned-bytes bound when queued chunks
+// pin its receive slabs — net/tcp_front_end.h), and no admitted chunk is
+// ever dropped — backpressure, not load shed.
 //
 // HandleMessage is safe to call from multiple threads; stream messages
 // return an empty vector (fire-and-forget, failures are counted in
@@ -46,7 +48,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -58,6 +59,7 @@
 
 #include "obs/metrics.h"
 #include "service/aggregator_server.h"
+#include "service/chunk_owner.h"
 #include "service/ingest_session.h"
 #include "service/stream_wire.h"
 
@@ -162,8 +164,9 @@ class AggregatorService {
   std::vector<uint8_t> HandleMessage(std::span<const uint8_t> bytes);
 
   /// Same routing, taking ownership of the buffer: a chunk's nested
-  /// batch is kept (not copied) on the ingestion queue — the fast path
-  /// for callers that materialize each message anyway.
+  /// batch is queued in place (the vector is wrapped in a ChunkOwner,
+  /// not copied) — the fast path for callers that materialize each
+  /// message anyway.
   std::vector<uint8_t> HandleMessage(std::vector<uint8_t>&& bytes);
 
   /// Outcome of TryHandleMessage. kHandled covers every terminal result
@@ -172,14 +175,26 @@ class AggregatorService {
 
   /// Non-blocking HandleMessage for socket front-ends: identical routing
   /// except that a stream chunk whose target server queue is at its
-  /// high-water mark is NOT admitted. On kWouldBlock nothing has been
-  /// recorded for the chunk, `bytes` is left untouched, `*blocked_server`
-  /// names the congested server, and stats().socket_pauses is
-  /// incremented — the caller should stop reading its input source and
-  /// re-present the SAME bytes after a queue-drain notification for that
-  /// server. On kHandled the buffer has been consumed and `*response`
-  /// holds whatever HandleMessage would have returned.
-  AdmitResult TryHandleMessage(std::vector<uint8_t>& bytes,
+  /// high-water mark is NOT admitted.
+  ///
+  /// Ownership: `bytes` must stay valid for the call. When `owner` is
+  /// set it must keep `bytes` alive, and an admitted chunk queues a span
+  /// into those bytes plus one new reference on `owner`, dropped on the
+  /// worker thread right after the chunk is absorbed — so the owner's
+  /// buffer is pinned for as long as any chunk in it waits on a queue.
+  /// With an empty `owner` an admitted chunk's batch is copied first, as
+  /// HandleMessage(span) does. Every other message is handled
+  /// synchronously and never takes a reference.
+  ///
+  /// On kWouldBlock nothing has been recorded for the chunk and no
+  /// reference was taken; `*blocked_server` names the congested server
+  /// and stats().socket_pauses is incremented. The caller should stop
+  /// reading its input source, keep the bytes alive, and re-present the
+  /// SAME bytes after a queue-drain notification for that server. On
+  /// kHandled `*response` holds whatever HandleMessage would have
+  /// returned.
+  AdmitResult TryHandleMessage(const ChunkRef& owner,
+                               std::span<const uint8_t> bytes,
                                std::vector<uint8_t>* response,
                                uint64_t* blocked_server);
 
@@ -226,13 +241,15 @@ class AggregatorService {
  private:
   enum class EntryState : uint8_t { kLive, kFinalizing, kFinalized };
 
-  /// One queued chunk: the owning buffer plus the offset of the nested
-  /// batch message inside it (0 when the buffer is the batch itself).
-  /// `enqueue_ns` is the admit timestamp feeding the queue-wait
-  /// histogram when a worker picks the chunk up.
+  /// One queued chunk — the only representation, whichever entry point
+  /// admitted it: a reference on the buffer's owner (a front-end slab, or
+  /// a wrapped or copied vector) plus the nested batch message's span
+  /// inside it. The reference is dropped on the worker thread as soon as
+  /// the chunk is absorbed. `enqueue_ns` is the admit timestamp feeding
+  /// the queue-wait histogram when a worker picks the chunk up.
   struct QueuedChunk {
-    std::vector<uint8_t> buffer;
-    size_t nested_offset = 0;
+    ChunkRef owner;
+    std::span<const uint8_t> batch;
     uint64_t enqueue_ns = 0;
   };
 
@@ -276,12 +293,19 @@ class AggregatorService {
     CounterRef finalizes;
   };
 
+  static constexpr size_t kNoEntry = ~size_t{0};
+
   struct ServerEntry {
     std::unique_ptr<AggregatorServer> server;
-    std::deque<QueuedChunk> queue;  // FIFO
+    // FIFO of admitted chunks. The strand swaps it with `draining` and
+    // absorbs from there, so both vectors keep their capacity: once they
+    // reach the queue bound, admitting and draining allocate nothing.
+    std::vector<QueuedChunk> queue;
+    std::vector<QueuedChunk> draining;  // the strand's, touched unlocked
     bool scheduled = false;  // claimed by the ready list or a worker
     bool finalize_pending = false;
     EntryState state = EntryState::kLive;
+    size_t next_ready = kNoEntry;  // intrusive ready-list link
   };
 
   /// One in-flight fan-in group, keyed by merge_id: shard clones are
@@ -310,10 +334,23 @@ class AggregatorService {
   /// the claim.
   void FinalizeClaimedLocked(std::unique_lock<std::mutex>& lock,
                              size_t entry_index);
+  /// The one router behind HandleMessage and TryHandleMessage. `block`
+  /// selects what a chunk does at a full queue: wait for the strand
+  /// (counted in backpressure_waits) or return kWouldBlock.
+  AdmitResult Route(const ChunkRef& owner, std::span<const uint8_t> bytes,
+                    bool block, std::vector<uint8_t>* response,
+                    uint64_t* blocked_server);
+  /// Admits one kStreamChunk: session checks, the queue bound, then one
+  /// QueuedChunk on the target strand (see TryHandleMessage for the
+  /// ownership rules).
+  AdmitResult AdmitChunk(const ChunkRef& owner,
+                         std::span<const uint8_t> bytes, bool block,
+                         uint64_t* blocked_server);
   void HandleStreamBegin(std::span<const uint8_t> bytes);
-  void EnqueueChunk(uint64_t session_id, uint64_t sequence,
-                    QueuedChunk chunk);
   void HandleStreamEnd(std::span<const uint8_t> bytes);
+  void PushReadyLocked(size_t entry_index);
+  size_t PopReadyLocked();
+  bool ReadyEmptyLocked() const { return ready_head_ == kNoEntry; }
   /// Fires the registered drain hook for `server_id` (no-op when none).
   /// Must be called with mu_ NOT held.
   void NotifyQueueDrain(uint64_t server_id);
@@ -356,7 +393,11 @@ class AggregatorService {
   std::unordered_map<uint64_t, MergeSession> merge_sessions_;
   size_t buffered_merge_shards_ = 0;
   size_t merge_buffer_limit_ = kDefaultMergeBufferShards;
-  std::deque<size_t> ready_;  // entry indices with claimed work
+  // FIFO of entry indices with claimed work, linked through
+  // ServerEntry::next_ready (an entry is on it at most once), so
+  // scheduling never allocates.
+  size_t ready_head_ = kNoEntry;
+  size_t ready_tail_ = kNoEntry;
   size_t busy_entries_ = 0;
   bool stopping_ = false;
   ServiceCounters stats_{registry_};

@@ -105,5 +105,62 @@ TEST(IngestSession, CanAdmitIsAPureMirrorOfAdmitChunk) {
   }
 }
 
+TEST(IngestSession, LastInPolicySequenceGrowsTheBitmapToTheCap) {
+  // kMaxSequences - 1 is the highest admissible sequence: admitting it
+  // alone grows the dedupe bitmap straight to its cap, and the session
+  // still dedupes it and ends incomplete (nothing below it arrived).
+  IngestSession s(1, 0);
+  EXPECT_TRUE(s.CanAdmit(kMax - 1));
+  EXPECT_TRUE(s.AdmitChunk(kMax - 1));
+  EXPECT_FALSE(s.CanAdmit(kMax - 1));
+  EXPECT_FALSE(s.AdmitChunk(kMax - 1));
+  EXPECT_TRUE(s.AdmitChunk(0));
+  EXPECT_EQ(s.chunks_admitted(), 2u);
+  EXPECT_EQ(s.End(kMax, 0), EndResult::kOk);
+  EXPECT_FALSE(s.complete());
+  EXPECT_EQ(s.chunks_admitted(), 2u);
+}
+
+TEST(IngestSession, ReplayAfterEndIsRejectedWithoutReopening) {
+  // End releases the bitmap; a replayed chunk afterwards must still be
+  // refused (as post-end, not re-admitted into a fresh bitmap), and the
+  // admitted count must stay what End saw.
+  IngestSession s(1, 0);
+  EXPECT_TRUE(s.AdmitChunk(0));
+  EXPECT_TRUE(s.AdmitChunk(1));
+  EXPECT_EQ(s.End(2, 0), EndResult::kOk);
+  EXPECT_TRUE(s.complete());
+  for (uint64_t seq : {uint64_t{0}, uint64_t{1}, uint64_t{2}}) {
+    EXPECT_FALSE(s.CanAdmit(seq));
+    EXPECT_FALSE(s.AdmitChunk(seq));
+  }
+  EXPECT_EQ(s.chunks_admitted(), 2u);
+  EXPECT_TRUE(s.complete());
+}
+
+TEST(IngestSession, OutOfOrderCompletionAcrossBitmapGrowth) {
+  // Sequences 0..199 admitted in descending order and then interleaved
+  // duplicates: the first admit already sizes the bitmap past every later
+  // sequence, and the session completes exactly.
+  IngestSession s(1, 0);
+  for (uint64_t seq = 200; seq-- > 0;) EXPECT_TRUE(s.AdmitChunk(seq));
+  for (uint64_t seq = 0; seq < 200; seq += 7) EXPECT_FALSE(s.AdmitChunk(seq));
+  EXPECT_EQ(s.chunks_admitted(), 200u);
+  EXPECT_EQ(s.End(200, 0), EndResult::kOk);
+  EXPECT_TRUE(s.complete());
+
+  // Ascending across several doublings (64, 128, 256 bits) with one gap
+  // filled last.
+  IngestSession t(2, 0);
+  for (uint64_t seq = 0; seq < 300; ++seq) {
+    if (seq == 130) continue;
+    EXPECT_TRUE(t.AdmitChunk(seq));
+  }
+  EXPECT_TRUE(t.CanAdmit(130));
+  EXPECT_TRUE(t.AdmitChunk(130));
+  EXPECT_EQ(t.End(300, 0), EndResult::kOk);
+  EXPECT_TRUE(t.complete());
+}
+
 }  // namespace
 }  // namespace ldp

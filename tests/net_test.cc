@@ -637,6 +637,27 @@ TEST(NetProtocol, TruncatedFinalMessageIsAProtocolError) {
   front.Stop();
 }
 
+TEST(NetProtocol, EofInsideAnOversizedFrameIsAProtocolError) {
+  // A frame larger than a receive slab is read into the connection's
+  // frame buffer; a hang-up before it completes is still a mid-frame EOF.
+  AggregatorService svc(/*worker_threads=*/0);
+  TcpFrontEnd front(svc);
+  ASSERT_TRUE(front.Start());
+  TcpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", front.port()));
+  std::vector<uint8_t> big =
+      service::SerializeStreamChunk(1, 0, std::vector<uint8_t>(600000, 0x5A));
+  big.resize(big.size() - 100);  // hang up 100 bytes short
+  ASSERT_TRUE(client.Send(service::SerializeStreamBegin({1, 0})));
+  ASSERT_TRUE(client.Send(big));
+  client.ShutdownWrite();
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return front.stats().protocol_errors >= 1; }));
+  EXPECT_EQ(front.stats().messages_routed, 1u);  // the begin only
+  EXPECT_EQ(svc.stats().chunks_enqueued, 0u);
+  front.Stop();
+}
+
 // --- Receive deadlines ------------------------------------------------
 
 TEST(NetTimeout, ReceiveDeadlineSurfacesTypedTimeout) {
