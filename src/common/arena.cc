@@ -27,7 +27,8 @@ void* Arena::Allocate(size_t bytes, size_t alignment) {
   size_t capacity = std::max(bytes + alignment, next_block_bytes_);
   next_block_bytes_ = std::min(next_block_bytes_ * 2, kMaxBlockBytes);
   Block block;
-  block.data = std::make_unique<std::byte[]>(capacity);
+  // Not zero-filled: every arena user writes before it reads.
+  block.data = std::make_unique_for_overwrite<std::byte[]>(capacity);
   block.capacity = capacity;
   bytes_reserved_ += capacity;
   ++block_allocations_;

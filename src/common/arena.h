@@ -210,7 +210,9 @@ class ArenaColumn {
     tail_capacity_ = 0;
   }
 
-  void Grow() {
+  // Out of line: the cold path of PushBack, which stays small enough to
+  // inline into per-report absorb loops.
+  [[gnu::noinline]] void Grow() {
     SealTail();
     uint64_t elems = next_chunk_elems_;
     tail_ = static_cast<T*>(arena_.Allocate(elems * sizeof(T), alignof(T)));

@@ -43,11 +43,7 @@ class GridAxisAdapter final : public RangeMechanism {
   }
 
   std::unique_ptr<RangeMechanism> CloneEmpty() const override {
-    // HierarchicalGrid::CloneEmptyBase returns a HierarchicalGrid.
-    auto* grid =
-        static_cast<HierarchicalGrid*>(grid_->CloneEmptyBase().release());
-    return std::make_unique<GridAxisAdapter>(
-        std::unique_ptr<HierarchicalGrid>(grid));
+    return std::make_unique<GridAxisAdapter>(grid_->CloneEmpty());
   }
 
   void MergeFrom(const RangeMechanism& other) override {
@@ -59,12 +55,12 @@ class GridAxisAdapter final : public RangeMechanism {
   void Finalize(Rng& rng) override { grid_->Finalize(rng); }
 
   double RangeQuery(uint64_t a, uint64_t b) const override {
-    return grid_->BoxQuery(MarginalBox(a, b));
+    return grid_->BoxQuery(grid_->MarginalBox(a, b));
   }
 
   RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                           uint64_t b) const override {
-    return grid_->BoxQueryWithUncertainty(MarginalBox(a, b));
+    return grid_->BoxQueryWithUncertainty(grid_->MarginalBox(a, b));
   }
 
   std::vector<double> EstimateFrequencies() const override {
@@ -76,13 +72,6 @@ class GridAxisAdapter final : public RangeMechanism {
   }
 
  private:
-  std::vector<AxisInterval> MarginalBox(uint64_t a, uint64_t b) const {
-    std::vector<AxisInterval> box(grid_->dimensions(),
-                                  AxisInterval{0, domain_ - 1});
-    box[0] = AxisInterval{a, b};
-    return box;
-  }
-
   std::unique_ptr<HierarchicalGrid> grid_;
 };
 

@@ -99,6 +99,7 @@ HierarchicalGrid::HierarchicalGrid(uint64_t domain_per_dim,
   if (config_.oracle == OracleKind::kOlh) {
     olh_g_ = OlhOptimalHashRange(eps_);
   }
+  absorbs_olh_reports_ = deferred_ && config_.oracle == OracleKind::kOlh;
   if (deferred_) {
     // No oracles: ingestion records into the arena columns and Finalize
     // decodes straight into estimates_. The record format needs tuple and
@@ -178,22 +179,10 @@ double HierarchicalGrid::ReportBits() const {
 
 void HierarchicalGrid::EncodePoint(const uint64_t* coords, Rng& rng) {
   LDP_CHECK_MSG(!finalized_, "EncodePoint after Finalize");
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
-    LDP_CHECK_LT(coords[dim], domain_);
-  }
-  // Uniform level tuple, skipping the all-root tuple 0.
-  uint64_t tuple = 1 + rng.UniformInt(tuple_count_ - 1);
-  // Decode the tuple and flatten the user's cell within that grid.
-  uint64_t rest = tuple;
-  uint64_t cell = 0;
-  uint64_t cell_stride = 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
-    uint32_t level = static_cast<uint32_t>(rest % radix);
-    rest /= radix;
-    cell += shape_.NodeContaining(level, coords[dim]) * cell_stride;
-    cell_stride *= shape_.NodesAtLevel(level);
-  }
+  const GridCellDraw draw =
+      DrawGridCell(shape_, dims_, tuple_count_, coords, rng);
+  const uint64_t tuple = draw.tuple;
+  uint64_t cell = draw.cell;
   if (!deferred_) {
     grids_[tuple]->SubmitValue(cell, rng);
     ++users_;
@@ -237,7 +226,7 @@ void HierarchicalGrid::EncodePoints(std::span<const uint64_t> coords,
   }
 }
 
-std::unique_ptr<MechanismBase> HierarchicalGrid::CloneEmptyBase() const {
+std::unique_ptr<HierarchicalGrid> HierarchicalGrid::CloneEmpty() const {
   return std::make_unique<HierarchicalGrid>(domain_, dims_, eps_, config_,
                                             max_total_cells_);
 }
@@ -280,6 +269,7 @@ void HierarchicalGrid::Finalize(Rng& rng) {
     FinalizeEager(rng);
   }
   finalized_ = true;
+  absorbs_olh_reports_ = false;
 }
 
 void HierarchicalGrid::FinalizeEager(Rng& rng) {
@@ -329,39 +319,11 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
   std::vector<uint64_t> seeds(tuple_count_, 0);
   for (uint64_t t = 1; t < tuple_count_; ++t) seeds[t] = rng.Next();
 
-  // Partition the records by tuple (counting sort off the per-tuple report
-  // totals maintained at ingest): after this every tuple's cells (and
+  // Partition the records by tuple: after this every tuple's cells (and
   // seeds, for OLH) sit in one contiguous slice, so the per-tuple decode
   // below is a single linear scan.
-  const uint64_t n_records = rec_tuples_.size();
-  LDP_CHECK(rec_cells_.size() == n_records);
-  const bool olh = config_.oracle == OracleKind::kOlh;
-  std::vector<uint64_t> rec_offset(tuple_count_ + 1, 0);
-  for (uint64_t t = 0; t < tuple_count_; ++t) {
-    rec_offset[t + 1] = rec_offset[t] + tuple_reports_[t];
-  }
-  LDP_CHECK(rec_offset[tuple_count_] == n_records);
-  std::vector<uint32_t> cells_by_tuple(n_records);
-  std::vector<uint64_t> seeds_by_tuple(olh ? n_records : 0);
-  {
-    std::vector<uint64_t> cursor(rec_offset.begin(), rec_offset.end() - 1);
-    const auto tuple_chunks = rec_tuples_.Chunks();
-    const auto cell_chunks = rec_cells_.Chunks();
-    const auto seed_chunks = rec_seeds_.Chunks();
-    LDP_CHECK(cell_chunks.size() == tuple_chunks.size());
-    LDP_CHECK(!olh || seed_chunks.size() == tuple_chunks.size());
-    for (size_t s = 0; s < tuple_chunks.size(); ++s) {
-      const uint32_t* tuples = tuple_chunks[s].data;
-      const uint32_t* cells = cell_chunks[s].data;
-      const uint64_t* sds = olh ? seed_chunks[s].data : nullptr;
-      LDP_CHECK(cell_chunks[s].size == tuple_chunks[s].size);
-      for (uint64_t i = 0; i < tuple_chunks[s].size; ++i) {
-        const uint64_t pos = cursor[tuples[i]]++;
-        cells_by_tuple[pos] = cells[i];
-        if (olh) seeds_by_tuple[pos] = sds[i];
-      }
-    }
-  }
+  const TupleRecords records = RecordsByTuple();
+  const std::vector<uint64_t>& rec_offset = records.offset;
 
   // One decode per tuple, sharded over tuples: histogram (or support-scan)
   // the tuple's slice, then fuse the aggregate noise draw with the
@@ -386,7 +348,7 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
         tuple_variance_[t] = std::numeric_limits<double>::infinity();
         continue;
       }
-      const uint32_t* slice = cells_by_tuple.data() + rec_offset[t];
+      const uint32_t* slice = records.cells.data() + rec_offset[t];
       const double dn = static_cast<double>(n_t);
       Rng tuple_rng(seeds[t]);
       switch (config_.oracle) {
@@ -425,7 +387,7 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
         }
         case OracleKind::kOlh: {
           counts.assign(cells_t, 0);
-          OlhAccumulateSupport(seeds_by_tuple.data() + rec_offset[t], slice,
+          OlhAccumulateSupport(records.seeds.data() + rec_offset[t], slice,
                                n_t, olh_g_, cells_t, counts.data());
           const double p = GrrTruthProbability(olh_g_, eps_);
           const double q = 1.0 / static_cast<double>(olh_g_);
@@ -445,6 +407,43 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
   rec_tuples_.Clear();
   rec_cells_.Clear();
   rec_seeds_.Clear();
+}
+
+HierarchicalGrid::TupleRecords HierarchicalGrid::RecordsByTuple() const {
+  LDP_CHECK_MSG(deferred_ && !finalized_,
+                "RecordsByTuple needs an unfinalized deferred grid");
+  // Counting sort off the per-tuple report totals kept at ingest; stable,
+  // so each tuple's slice keeps arrival order.
+  const uint64_t n_records = rec_tuples_.size();
+  LDP_CHECK(rec_cells_.size() == n_records);
+  const bool olh = config_.oracle == OracleKind::kOlh;
+  TupleRecords records;
+  records.offset.assign(tuple_count_ + 1, 0);
+  for (uint64_t t = 0; t < tuple_count_; ++t) {
+    records.offset[t + 1] = records.offset[t] + tuple_reports_[t];
+  }
+  LDP_CHECK(records.offset[tuple_count_] == n_records);
+  records.cells.resize(n_records);
+  records.seeds.resize(olh ? n_records : 0);
+  std::vector<uint64_t> cursor(records.offset.begin(),
+                               records.offset.end() - 1);
+  const auto tuple_chunks = rec_tuples_.Chunks();
+  const auto cell_chunks = rec_cells_.Chunks();
+  const auto seed_chunks = rec_seeds_.Chunks();
+  LDP_CHECK(cell_chunks.size() == tuple_chunks.size());
+  LDP_CHECK(!olh || seed_chunks.size() == tuple_chunks.size());
+  for (size_t s = 0; s < tuple_chunks.size(); ++s) {
+    const uint32_t* tuples = tuple_chunks[s].data;
+    const uint32_t* cells = cell_chunks[s].data;
+    const uint64_t* sds = olh ? seed_chunks[s].data : nullptr;
+    LDP_CHECK(cell_chunks[s].size == tuple_chunks[s].size);
+    for (uint64_t i = 0; i < tuple_chunks[s].size; ++i) {
+      const uint64_t pos = cursor[tuples[i]]++;
+      records.cells[pos] = cells[i];
+      if (olh) records.seeds[pos] = sds[i];
+    }
+  }
+  return records;
 }
 
 double HierarchicalGrid::BoxQuery(std::span<const AxisInterval> box) const {

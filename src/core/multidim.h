@@ -32,6 +32,13 @@
 // Deferral covers kOueSimulated, kSueSimulated, kGrr and kOlh; the
 // per-user-exact kinds (kOue, kSue, kHrr) randomize each report at
 // submission time and silently fall back to eager.
+//
+// The deferred OLH grid is also the wire grid's aggregate: the served
+// MultiDimServer (protocol/multidim_protocol.h) feeds client-randomized
+// (tuple, seed, cell) reports straight into the record columns through
+// AbsorbOlhReport and reads them back, grouped by tuple, for its state
+// snapshots. Its clients and EncodePoint pick the level tuple and cell
+// through the same DrawGridCell.
 
 #ifndef LDPRANGE_CORE_MULTIDIM_H_
 #define LDPRANGE_CORE_MULTIDIM_H_
@@ -73,10 +80,45 @@ bool GridOracleDeferrable(OracleKind kind);
 /// sums the product-grid sizes of every non-trivial level tuple into
 /// `*total_cells`. Returns false (leaving `*total_cells` untouched) when
 /// the total exceeds `budget` or any intermediate product overflows.
-/// Shared by HierarchicalGrid and the wire-facing MultiDimServer so both
+/// Shared by HierarchicalGrid and the wire-facing MultiDimClient so both
 /// reject over-budget configurations identically.
 bool GridCellsWithinBudget(const TreeShape& shape, uint32_t dims,
                            uint64_t budget, uint64_t* total_cells);
+
+/// One user's draw on the grid: the sampled level tuple, the user's cell in
+/// that tuple's product grid (both flattened as VisitGridBoxCells does)
+/// and the number of cells in that grid.
+struct GridCellDraw {
+  uint64_t tuple;
+  uint64_t cell;
+  uint64_t cells;
+};
+
+/// The client side's first step for every grid report: samples the level
+/// tuple uniformly from the non-trivial tuples [1, tuple_count) — one
+/// UniformInt draw from `rng` — and flattens the cell holding `coords`
+/// (dims values, each in [0, shape.domain())). When `levels` is non-null
+/// it receives the tuple's per-axis levels.
+inline GridCellDraw DrawGridCell(const TreeShape& shape, uint32_t dims,
+                                 uint64_t tuple_count, const uint64_t* coords,
+                                 Rng& rng, uint8_t* levels = nullptr) {
+  const uint64_t radix = uint64_t{shape.height()} + 1;
+  for (uint32_t dim = 0; dim < dims; ++dim) {
+    LDP_CHECK_LT(coords[dim], shape.domain());
+  }
+  // Uniform level tuple, skipping the all-root tuple 0; then decode it and
+  // flatten the user's cell within that tuple's grid.
+  GridCellDraw draw{1 + rng.UniformInt(tuple_count - 1), 0, 1};
+  uint64_t rest = draw.tuple;
+  for (uint32_t dim = 0; dim < dims; ++dim) {
+    const uint32_t level = static_cast<uint32_t>(rest % radix);
+    rest /= radix;
+    if (levels != nullptr) levels[dim] = static_cast<uint8_t>(level);
+    draw.cell += shape.NodeContaining(level, coords[dim]) * draw.cells;
+    draw.cells *= shape.NodesAtLevel(level);
+  }
+  return draw;
+}
 
 /// Walks the O(log_B^d D) grid cells covering the axis-aligned box — the
 /// cross product of the per-axis B-adic decompositions. Invokes
@@ -147,8 +189,14 @@ class HierarchicalGrid : public MechanismBase {
       std::string* error = nullptr);
 
   uint64_t domain_per_dim() const { return domain_; }
+  /// The per-axis B-adic tree (the same on every axis).
+  const TreeShape& shape() const { return shape_; }
+  /// Level tuples, (h+1)^d, the all-root tuple 0 included.
+  uint64_t tuple_count() const { return tuple_count_; }
   /// Total cells across all level tuples (the memory footprint driver).
   uint64_t total_cells() const { return total_cells_; }
+  /// The OLH hash range g shared by every tuple grid (kOlh only, else 0).
+  uint64_t olh_hash_range() const { return olh_g_; }
 
   uint32_t dimensions() const override { return dims_; }
   uint64_t user_count() const override { return users_; }
@@ -170,12 +218,52 @@ class HierarchicalGrid : public MechanismBase {
   double ReportBits() const override;
   void EncodePoint(const uint64_t* coords, Rng& rng) override;
   void EncodePoints(std::span<const uint64_t> coords, Rng& rng) override;
-  std::unique_ptr<MechanismBase> CloneEmptyBase() const override;
+
+  /// Server side of a deferred kOlh grid: records one client-randomized
+  /// report — level tuple in [1, tuple_count()), the user's hash seed and
+  /// the perturbed cell (< olh_hash_range()) — exactly as EncodePoint
+  /// would have after drawing it. The caller validates the report; the
+  /// one check here is that this grid is an unfinalized deferred OLH grid.
+  void AbsorbOlhReport(uint32_t tuple, uint64_t seed, uint32_t cell) {
+    LDP_CHECK_MSG(absorbs_olh_reports_,
+                  "AbsorbOlhReport needs an unfinalized deferred OLH grid");
+    rec_tuples_.PushBack(tuple);
+    rec_cells_.PushBack(cell);
+    rec_seeds_.PushBack(seed);
+    ++tuple_reports_[tuple];
+    ++users_;
+  }
+
+  /// The recorded reports of a deferred grid grouped by level tuple:
+  /// tuple t's cells (and, for kOlh, seeds) sit at [offset[t],
+  /// offset[t + 1]) in arrival order.
+  struct TupleRecords {
+    std::vector<uint64_t> offset;
+    std::vector<uint32_t> cells;
+    std::vector<uint64_t> seeds;
+  };
+  /// One stable counting sort over the record columns (Finalize's
+  /// partition step); requires an unfinalized deferred grid.
+  TupleRecords RecordsByTuple() const;
+
+  /// A fresh, empty grid with this one's exact configuration.
+  std::unique_ptr<HierarchicalGrid> CloneEmpty() const;
+  std::unique_ptr<MechanismBase> CloneEmptyBase() const override {
+    return CloneEmpty();
+  }
   void MergeFromBase(const MechanismBase& other) override;
   void Finalize(Rng& rng) override;
   double BoxQuery(std::span<const AxisInterval> box) const override;
   RangeEstimate BoxQueryWithUncertainty(
       std::span<const AxisInterval> box) const override;
+
+  /// The axis-0 marginal box [a, b] x [0, D)^(d-1): how the 1-D range
+  /// interfaces view a grid.
+  std::vector<AxisInterval> MarginalBox(uint64_t a, uint64_t b) const {
+    std::vector<AxisInterval> box(dims_, AxisInterval{0, domain_ - 1});
+    box[0] = AxisInterval{a, b};
+    return box;
+  }
 
  private:
   void FinalizeEager(Rng& rng);
@@ -193,6 +281,8 @@ class HierarchicalGrid : public MechanismBase {
   uint64_t tuple_count_;  // (h+1)^d, including the excluded all-zero tuple
   uint64_t total_cells_ = 0;
   bool deferred_ = false;  // resolved decode mode (see GridOracleDeferrable)
+  // Deferred kOlh and not finalized: AbsorbOlhReport's one check.
+  bool absorbs_olh_reports_ = false;
   unsigned finalize_threads_ = 0;
   uint64_t olh_g_ = 0;  // shared OLH hash range (kOlh only)
   // Product-grid size per tuple (tuple_cells_[0] = 1, the all-root cell).

@@ -13,7 +13,6 @@
 #include "frequency/olh_support_scan.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
-#include "protocol/wire.h"
 
 namespace ldp {
 
@@ -131,21 +130,6 @@ void OlhOracle::IngestValue(uint64_t value, Rng& rng) {
   } else {
     pending_seeds_.PushBack(seed);
     pending_cells_.PushBack(static_cast<uint32_t>(reported));
-  }
-  ++reports_;
-}
-
-void OlhOracle::AbsorbReport(uint64_t seed, uint32_t cell) {
-  LDP_CHECK_LT(cell, g_);
-  if (decode_ == OlhDecode::kEager) {
-    for (uint64_t j = 0; j < domain_; ++j) {
-      if (SeededHash(seed, j, g_) == cell) {
-        ++support_[j];
-      }
-    }
-  } else {
-    pending_seeds_.PushBack(seed);
-    pending_cells_.PushBack(cell);
   }
   ++reports_;
 }
@@ -285,72 +269,6 @@ void OlhOracle::MergeFrom(const FrequencyOracle& other) {
   pending_seeds_.Adopt(std::move(o->pending_seeds_));
   pending_cells_.Adopt(std::move(o->pending_cells_));
   reports_ += o->reports_;
-}
-
-void OlhOracle::AppendState(std::vector<uint8_t>& out) const {
-  std::lock_guard<std::mutex> lock(decode_mu_);
-  const uint64_t pending = pending_seeds_.size();
-  const uint64_t decoded = reports_ - pending;
-  protocol::AppendVarU64(out, reports_);
-  protocol::AppendU8(out, decoded > 0 ? 1 : 0);
-  if (decoded > 0) {
-    for (uint64_t j = 0; j < domain_; ++j) {
-      protocol::AppendU64(out, support_[j]);
-    }
-  }
-  protocol::AppendVarU64(out, pending);
-  // The two columns follow the same append schedule (see DecodePending),
-  // so zipping paired chunks walks the reports in ingest order.
-  const auto seed_chunks = pending_seeds_.Chunks();
-  const auto cell_chunks = pending_cells_.Chunks();
-  LDP_CHECK(seed_chunks.size() == cell_chunks.size());
-  for (size_t s = 0; s < seed_chunks.size(); ++s) {
-    LDP_CHECK(seed_chunks[s].size == cell_chunks[s].size);
-    for (uint64_t i = 0; i < seed_chunks[s].size; ++i) {
-      protocol::AppendU64(out, seed_chunks[s].data[i]);
-      protocol::AppendU32(out, cell_chunks[s].data[i]);
-    }
-  }
-}
-
-bool OlhOracle::RestoreState(protocol::WireReader& reader) {
-  uint64_t reports = 0;
-  uint8_t decoded_flag = 0;
-  if (!reader.ReadVarU64(&reports) || !reader.ReadU8(&decoded_flag)) {
-    return false;
-  }
-  if (decoded_flag > 1) return false;
-  if (decoded_flag == 1) {
-    // domain_ is this oracle's own configuration, never a wire value.
-    for (uint64_t j = 0; j < domain_; ++j) {
-      uint64_t count = 0;
-      if (!reader.ReadU64(&count)) return false;
-      support_[j] = count;
-    }
-  }
-  uint64_t pending = 0;
-  if (!reader.ReadVarU64(&pending)) return false;
-  if (pending > reports) return false;
-  // Canonical-flag rule: the support section is present exactly when some
-  // report has already been decoded into it.
-  if ((decoded_flag == 1) != (reports - pending > 0)) return false;
-  // Floor check: each pending report costs 12 bytes on the wire, so a
-  // forged count beyond what the buffer can hold fails before any append
-  // drives allocation. (Division avoids overflow on adversarial counts.)
-  constexpr uint64_t kPendingWireBytes = 12;
-  if (pending > reader.Remaining() / kPendingWireBytes) return false;
-  pending_seeds_.Reserve(pending);
-  pending_cells_.Reserve(pending);
-  for (uint64_t i = 0; i < pending; ++i) {
-    uint64_t seed = 0;
-    uint32_t cell = 0;
-    if (!reader.ReadU64(&seed) || !reader.ReadU32(&cell)) return false;
-    if (cell >= g_) return false;
-    pending_seeds_.PushBack(seed);
-    pending_cells_.PushBack(cell);
-  }
-  reports_ = reports;
-  return true;
 }
 
 }  // namespace ldp

@@ -22,6 +22,11 @@
 //    bit-identical equivalence test.
 // Both strategies consume the identical Rng stream and produce bit-identical
 // support counts; only when and how fast the scan runs differs.
+//
+// The multidimensional grid (core/multidim.h), served one included, holds
+// no OlhOracle objects: its deferred OLH mode records (tuple, seed, cell)
+// reports in one set of columns and runs the same support-scan kernel
+// (olh_support_scan.h) per level tuple at Finalize.
 
 #ifndef LDPRANGE_FREQUENCY_OLH_H_
 #define LDPRANGE_FREQUENCY_OLH_H_
@@ -33,10 +38,6 @@
 
 #include "common/arena.h"
 #include "frequency/frequency_oracle.h"
-
-namespace ldp::protocol {
-class WireReader;
-}  // namespace ldp::protocol
 
 namespace ldp {
 
@@ -78,12 +79,6 @@ class OlhOracle final : public FrequencyOracle {
   /// support[j] = number of reports whose perturbed hash matches H_seed(j).
   const std::vector<uint64_t>& SupportCounts() const;
 
-  /// Server side: folds an already-randomized wire report — the
-  /// client-side (seed, perturbed cell) pair of protocol::OlhWireReport —
-  /// into the aggregate, exactly as if SubmitValue had drawn it locally.
-  /// `cell` must be < hash_range() (validate before calling).
-  void AbsorbReport(uint64_t seed, uint32_t cell);
-
   double ReportBits() const override;
   double EstimatorVariance() const override;
   void SubmitValue(uint64_t value, Rng& rng) override;
@@ -93,23 +88,6 @@ class OlhOracle final : public FrequencyOracle {
   std::vector<double> EstimateFractions() const override;
   std::unique_ptr<FrequencyOracle> CloneEmpty() const override;
   void MergeFrom(const FrequencyOracle& other) override;
-
-  /// Appends this oracle's aggregate state in its canonical wire form:
-  /// [reports varint][decoded u8][decoded? domain x support u64]
-  /// [pending varint][pending x (seed u64, cell u32)]. The `decoded` flag
-  /// is canonical — it is 1 exactly when reports exceed the pending queue,
-  /// i.e. when the support array carries information. The counterpart of
-  /// RestoreState; see service/state_wire.h.
-  void AppendState(std::vector<uint8_t>& out) const;
-
-  /// Restores serialized state into this (empty, identically configured)
-  /// oracle. Total over adversarial bytes: the declared pending count is
-  /// floor-checked against the bytes actually present before any append,
-  /// every cell is validated against hash_range(), and a non-canonical
-  /// decoded flag or pending > reports is rejected. Returns false on any
-  /// such failure (discard the oracle then — state may be partially
-  /// written). Reads exactly one AppendState record from `reader`.
-  bool RestoreState(protocol::WireReader& reader);
 
  private:
   /// Randomizes one value into a (seed, cell) report and either scans it

@@ -1,13 +1,13 @@
 #include "protocol/multidim_protocol.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/bit_util.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/parallel.h"
+#include "frequency/olh.h"
 #include "protocol/oracle_wire.h"
 #include "protocol/wire.h"
 
@@ -42,44 +42,18 @@ MultiDimClient::MultiDimClient(uint64_t domain_per_dim, uint32_t dimensions,
                                       HierarchicalGrid::kDefaultCellBudget,
                                       &total),
                 "multidim grid cell budget exceeded; reduce D or d");
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  tuple_count_ = IntPow(radix, dims_);
-  tuple_cells_.assign(tuple_count_, 1);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    uint64_t rest = t;
-    uint64_t cells = 1;
-    for (uint32_t dim = 0; dim < dims_; ++dim) {
-      cells *= shape_.NodesAtLevel(static_cast<uint32_t>(rest % radix));
-      rest /= radix;
-    }
-    tuple_cells_[t] = cells;
-  }
+  tuple_count_ = IntPow(uint64_t{shape_.height()} + 1, dims_);
 }
 
 MultiDimReport MultiDimClient::Encode(const uint64_t* coords,
                                       Rng& rng) const {
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
-    LDP_CHECK_LT(coords[dim], shape_.domain());
-  }
-  // Uniform level tuple skipping the all-root tuple 0, then the OLH
-  // randomizer for that tuple's grid — the same draw order as
-  // HierarchicalGrid::EncodePoint (tuple pick, then oracle).
-  uint64_t tuple = 1 + rng.UniformInt(tuple_count_ - 1);
+  // The tuple pick and cell, then the OLH randomizer for that tuple's
+  // grid — the same draws as HierarchicalGrid::EncodePoint.
   MultiDimReport report;
   report.levels.resize(dims_);
-  uint64_t rest = tuple;
-  uint64_t cell = 0;
-  uint64_t cell_stride = 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
-    uint32_t level = static_cast<uint32_t>(rest % radix);
-    rest /= radix;
-    report.levels[dim] = static_cast<uint8_t>(level);
-    cell += shape_.NodeContaining(level, coords[dim]) * cell_stride;
-    cell_stride *= shape_.NodesAtLevel(level);
-  }
-  OlhWireReport olh =
-      EncodeOlhReport(tuple_cells_[tuple], eps_, cell, rng, g_);
+  const GridCellDraw draw = DrawGridCell(shape_, dims_, tuple_count_, coords,
+                                         rng, &report.levels[0]);
+  OlhWireReport olh = EncodeOlhReport(draw.cells, eps_, draw.cell, rng, g_);
   report.seed = olh.seed;
   report.cell = static_cast<uint32_t>(olh.cell);
   return report;
@@ -141,70 +115,43 @@ std::vector<MultiDimReport> MultiDimClient::EncodeUsersSharded(
 MultiDimServer::MultiDimServer(uint64_t domain_per_dim, uint32_t dimensions,
                                double eps, uint64_t fanout,
                                uint64_t max_total_cells)
-    : dims_(dimensions),
-      eps_(eps),
-      shape_(domain_per_dim, fanout),
-      g_(OlhOptimalHashRange(eps)),
-      max_total_cells_(max_total_cells) {
-  LDP_CHECK_MSG(eps > 0.0, "epsilon must be positive");
-  LDP_CHECK_GE(dims_, 1u);
+    : MultiDimServer(std::make_unique<HierarchicalGrid>(
+          domain_per_dim, dimensions, eps,
+          HierarchicalGridConfig{fanout, OracleKind::kOlh,
+                                 GridDecode::kDeferred},
+          max_total_cells)) {}
+
+MultiDimServer::MultiDimServer(std::unique_ptr<HierarchicalGrid> grid)
+    : grid_(std::move(grid)),
+      dims_(grid_->dimensions()),
+      height_(grid_->shape().height()),
+      g_(grid_->olh_hash_range()) {
   LDP_CHECK_LE(dims_, kMaxWireDimensions);
-  LDP_CHECK_LE(shape_.height(), 255u);
-  uint64_t total = 0;
-  LDP_CHECK_MSG(
-      GridCellsWithinBudget(shape_, dims_, max_total_cells, &total),
-      "MultiDimServer cell budget exceeded; reduce D, d or raise "
-      "max_total_cells");
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  tuple_count_ = IntPow(radix, dims_);
-  oracles_.resize(tuple_count_);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    uint64_t rest = t;
-    uint64_t cells = 1;
-    for (uint32_t dim = 0; dim < dims_; ++dim) {
-      cells *= shape_.NodesAtLevel(static_cast<uint32_t>(rest % radix));
-      rest /= radix;
-    }
-    oracles_[t] =
-        std::make_unique<OlhOracle>(cells, eps, g_, OlhDecode::kDeferred);
-  }
+  LDP_CHECK_LE(height_, 255u);  // levels travel as u8
 }
 
 std::string MultiDimServer::Name() const {
   return "MultiDim" + std::to_string(dims_) + "D";
 }
 
-uint64_t MultiDimServer::report_allocation_count() const {
-  uint64_t total = 0;
-  for (const auto& oracle : oracles_) {
-    if (oracle != nullptr) total += oracle->pending_allocation_count();
-  }
-  return total;
-}
-
-bool MultiDimServer::Accept(const MultiDimReport& report) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  if (report.levels.size() != dims_ || report.cell >= g_) return false;
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  uint64_t tuple = 0;
-  uint64_t tuple_stride = 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
-    const uint8_t level = report.levels[dim];
-    if (level > shape_.height()) return false;
-    tuple += uint64_t{level} * tuple_stride;
-    tuple_stride *= radix;
-  }
-  // The all-root tuple carries no oracle report.
-  if (tuple == 0) return false;
-  oracles_[tuple]->AbsorbReport(report.seed, report.cell);
-  return true;
-}
-
 void MultiDimServer::AppendStateBody(std::vector<uint8_t>& out) const {
-  // [tuples varint][per non-trivial tuple (t = 1..): OlhOracle record].
-  AppendVarU64(out, tuple_count_);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    oracles_[t]->AppendState(out);
+  // [tuples varint], then per non-trivial tuple (t = 1..) the record of
+  // an undecoded OLH oracle: [reports varint][decoded u8 = 0]
+  // [pending varint = reports][pending x (seed u64, cell u32)], in
+  // arrival order.
+  const HierarchicalGrid::TupleRecords records = grid_->RecordsByTuple();
+  const uint64_t tuples = grid_->tuple_count();
+  AppendVarU64(out, tuples);
+  for (uint64_t t = 1; t < tuples; ++t) {
+    const uint64_t begin = records.offset[t];
+    const uint64_t end = records.offset[t + 1];
+    AppendVarU64(out, end - begin);
+    AppendU8(out, 0);
+    AppendVarU64(out, end - begin);
+    for (uint64_t r = begin; r < end; ++r) {
+      AppendU64(out, records.seeds[r]);
+      AppendU32(out, records.cells[r]);
+    }
   }
 }
 
@@ -214,76 +161,62 @@ bool MultiDimServer::RestoreStateBody(std::span<const uint8_t> body) {
   if (!reader.ReadVarU64(&tuples)) return false;
   // Cross-check against this server's own grid family, never an
   // allocation size.
-  if (tuples != tuple_count_) return false;
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    if (!oracles_[t]->RestoreState(reader)) return false;
+  if (tuples != grid_->tuple_count()) return false;
+  for (uint64_t t = 1; t < tuples; ++t) {
+    uint64_t reports = 0;
+    uint8_t decoded = 0;
+    uint64_t pending = 0;
+    // An unfinalized server never decodes, so every record it writes has
+    // decoded = 0 and all its reports pending.
+    if (!reader.ReadVarU64(&reports) || !reader.ReadU8(&decoded) ||
+        decoded != 0 || !reader.ReadVarU64(&pending) || pending != reports) {
+      return false;
+    }
+    // Floor check: each report costs 12 bytes on the wire, so a forged
+    // count beyond what the buffer holds fails before any append drives
+    // allocation. (Division avoids overflow on adversarial counts.)
+    if (pending > reader.Remaining() / 12) return false;
+    for (uint64_t i = 0; i < pending; ++i) {
+      uint64_t seed = 0;
+      uint32_t cell = 0;
+      if (!reader.ReadU64(&seed) || !reader.ReadU32(&cell)) return false;
+      if (cell >= g_) return false;
+      grid_->AbsorbOlhReport(static_cast<uint32_t>(t), seed, cell);
+    }
   }
   return reader.AtEnd();
 }
 
 std::unique_ptr<service::AggregatorServer> MultiDimServer::DoCloneEmpty()
     const {
-  return std::make_unique<MultiDimServer>(shape_.domain(), dims_, eps_,
-                                          shape_.fanout(), max_total_cells_);
+  return std::unique_ptr<MultiDimServer>(
+      new MultiDimServer(grid_->CloneEmpty()));
 }
 
 service::MergeStatus MultiDimServer::DoMergeFrom(
     service::AggregatorServer& other) {
-  auto& o = static_cast<MultiDimServer&>(other);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    oracles_[t]->MergeFrom(*o.oracles_[t]);
-  }
+  grid_->MergeFromBase(*static_cast<MultiDimServer&>(other).grid_);
   return service::MergeStatus::kOk;
 }
 
 void MultiDimServer::DoFinalize() {
-  estimates_.assign(tuple_count_, {});
-  estimates_[0] = {1.0};  // the all-root cell is the whole space
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    estimates_[t] = oracles_[t]->EstimateFractions();
-  }
-}
-
-double MultiDimServer::BoxQuery(std::span<const AxisInterval> box) const {
-  LDP_CHECK_MSG(finalized_, "BoxQuery before Finalize");
-  double total = 0.0;
-  VisitGridBoxCells(shape_, dims_, box, [&](uint64_t tuple, uint64_t cell) {
-    total += estimates_[tuple][cell];
-  });
-  return total;
-}
-
-RangeEstimate MultiDimServer::BoxQueryWithUncertainty(
-    std::span<const AxisInterval> box) const {
-  LDP_CHECK_MSG(finalized_, "BoxQuery before Finalize");
-  double total = 0.0;
-  double variance = 0.0;
-  VisitGridBoxCells(shape_, dims_, box, [&](uint64_t tuple, uint64_t cell) {
-    total += estimates_[tuple][cell];
-    if (tuple != 0) variance += oracles_[tuple]->EstimatorVariance();
-  });
-  return RangeEstimate{total, std::sqrt(variance)};
+  // The OLH decode draws no noise; the grid only forks this stream.
+  Rng rng(0);
+  grid_->Finalize(rng);
 }
 
 double MultiDimServer::RangeQuery(uint64_t a, uint64_t b) const {
-  std::vector<AxisInterval> box(dims_,
-                                AxisInterval{0, shape_.domain() - 1});
-  box[0] = AxisInterval{a, b};
-  return BoxQuery(box);
+  return BoxQuery(grid_->MarginalBox(a, b));
 }
 
 RangeEstimate MultiDimServer::RangeQueryWithUncertainty(uint64_t a,
                                                         uint64_t b) const {
-  std::vector<AxisInterval> box(dims_,
-                                AxisInterval{0, shape_.domain() - 1});
-  box[0] = AxisInterval{a, b};
-  return BoxQueryWithUncertainty(box);
+  return BoxQueryWithUncertainty(grid_->MarginalBox(a, b));
 }
 
 std::vector<double> MultiDimServer::EstimateFrequencies() const {
-  LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  std::vector<double> est(shape_.domain(), 0.0);
-  for (uint64_t z = 0; z < shape_.domain(); ++z) {
+  std::vector<double> est(domain(), 0.0);
+  for (uint64_t z = 0; z < domain(); ++z) {
     est[z] = RangeQuery(z, z);
   }
   return est;

@@ -9,6 +9,14 @@
 // cell) pair; every tuple grid shares one hash range g so the client
 // does not need to know which grid the server will route to.
 //
+// The server is a wire adapter over the core mechanism: it owns one
+// deferred OLH HierarchicalGrid (core/multidim.h) and adds only the
+// report check, the state-snapshot body codec and the axis-0 view the
+// 1-D AggregatorServer contract asks for. Finalize, box queries,
+// uncertainty, clone and merge are the grid's own, so a served answer,
+// stddev included, is bit-identical to the core grid fed the same
+// points from the same Rng.
+//
 // Payload layouts (MultiDimLayout, framed by the shared report codec,
 // report_codec.h; see envelope.h for the surrounding header):
 //   kMultiDimReport       [dims u8][dims x level u8][seed u64][cell u32]
@@ -35,7 +43,6 @@
 #include "common/random.h"
 #include "core/badic.h"
 #include "core/multidim.h"
-#include "frequency/olh.h"
 #include "protocol/envelope.h"
 #include "protocol/report_codec.h"
 #include "protocol/wire.h"
@@ -56,7 +63,9 @@ class LevelTuple {
   bool empty() const { return size_ == 0; }
   void resize(size_t n) {
     LDP_CHECK_LE(n, levels_.size());
-    std::fill(levels_.begin() + n, levels_.end(), 0);
+    // Slots past size() are zero already, so only a shrink clears any;
+    // re-sizing a decoded report to its own dims costs one compare.
+    if (n < size_) std::fill(levels_.begin() + n, levels_.begin() + size_, 0);
     size_ = static_cast<uint8_t>(n);
   }
   uint8_t& operator[](size_t i) { return levels_[i]; }
@@ -169,17 +178,15 @@ class MultiDimClient {
   double eps_;
   TreeShape shape_;
   uint64_t g_;
-  uint64_t tuple_count_;        // (h+1)^d, including the all-root tuple
-  std::vector<uint64_t> tuple_cells_;  // product-grid size per tuple
+  uint64_t tuple_count_;  // (h+1)^d, including the all-root tuple
 };
 
-/// Server-side aggregator: one deferred-decode OLH oracle per non-trivial
-/// level tuple, box queries assembled by the shared cross-product walk.
-/// Serialized ingestion and its accounting come from ReportServer (Absorb
-/// counts one report, a batch adds its totals once per message); finalize
-/// discipline and quantile search from service::AggregatorServer.
-/// RangeQuery answers are the axis-0 marginal (remaining axes spanning
-/// their full domain).
+/// Server-side aggregator: a codec adapter over one deferred OLH
+/// HierarchicalGrid (see file comment). Serialized ingestion and its
+/// accounting come from ReportServer (Absorb counts one report, a batch
+/// adds its totals once per message); finalize discipline and quantile
+/// search from service::AggregatorServer. RangeQuery answers are the
+/// axis-0 marginal (remaining axes spanning their full domain).
 class MultiDimServer final
     : public ReportServer<MultiDimServer, MultiDimLayout> {
  public:
@@ -189,22 +196,28 @@ class MultiDimServer final
       uint64_t max_total_cells = HierarchicalGrid::kDefaultCellBudget);
 
   std::string Name() const override;
-  const TreeShape& shape() const { return shape_; }
+  const TreeShape& shape() const { return grid_->shape(); }
   /// Per-axis domain (the AggregatorServer contract for multidim).
-  uint64_t domain() const override { return shape_.domain(); }
+  uint64_t domain() const override { return grid_->domain_per_dim(); }
   uint32_t dimensions() const override { return dims_; }
   uint64_t hash_range() const { return g_; }
 
-  /// System allocations ever made by the per-tuple pending-report columns.
+  /// System allocations ever made by the grid's report columns.
   /// Arena-backed appends make this flat per absorbed chunk at steady
   /// state — the zero-copy ingestion contract's test hook.
-  uint64_t report_allocation_count() const;
+  uint64_t report_allocation_count() const {
+    return grid_->record_allocation_count();
+  }
 
-  double BoxQuery(std::span<const AxisInterval> box) const override;
+  double BoxQuery(std::span<const AxisInterval> box) const override {
+    return grid_->BoxQuery(box);
+  }
   /// Uncertainty is the Section 6 cross-product accounting: the summed
   /// OLH estimator variances of the covering cells.
   RangeEstimate BoxQueryWithUncertainty(
-      std::span<const AxisInterval> box) const override;
+      std::span<const AxisInterval> box) const override {
+    return grid_->BoxQueryWithUncertainty(box);
+  }
 
   double RangeQuery(uint64_t a, uint64_t b) const override;
   RangeEstimate RangeQueryWithUncertainty(uint64_t a,
@@ -215,33 +228,45 @@ class MultiDimServer final
  private:
   friend ReportServer;
 
+  explicit MultiDimServer(std::unique_ptr<HierarchicalGrid> grid);
+
   /// Checks and folds one report (ReportServer counts it): false on a
   /// dims mismatch, an out-of-range level, an all-root tuple, or a cell
-  /// >= hash_range().
-  bool Accept(const MultiDimReport& report);
+  /// >= hash_range(). The grid CHECKs that it is not finalized.
+  bool Accept(const MultiDimReport& report) {
+    if (report.levels.size() != dims_ || report.cell >= g_) return false;
+    const uint64_t radix = uint64_t{height_} + 1;
+    uint64_t tuple = 0;
+    uint64_t tuple_stride = 1;
+    for (uint32_t dim = 0; dim < dims_; ++dim) {
+      const uint8_t level = report.levels[dim];
+      if (level > height_) return false;
+      tuple += uint64_t{level} * tuple_stride;
+      tuple_stride *= radix;
+    }
+    // The all-root tuple carries no report.
+    if (tuple == 0) return false;
+    grid_->AbsorbOlhReport(static_cast<uint32_t>(tuple), report.seed,
+                           report.cell);
+    return true;
+  }
 
   void DoFinalize() override;
   service::StateKind state_kind() const override {
     return service::StateKind::kGrid;
   }
-  uint64_t state_fanout() const override { return shape_.fanout(); }
-  double state_epsilon() const override { return eps_; }
+  uint64_t state_fanout() const override { return shape().fanout(); }
+  double state_epsilon() const override { return grid_->epsilon(); }
   void AppendStateBody(std::vector<uint8_t>& out) const override;
   bool RestoreStateBody(std::span<const uint8_t> body) override;
   std::unique_ptr<service::AggregatorServer> DoCloneEmpty() const override;
   service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
 
+  std::unique_ptr<HierarchicalGrid> grid_;
+  // The report check's bounds, copied from the grid.
   uint32_t dims_;
-  double eps_;
-  TreeShape shape_;
+  uint32_t height_;
   uint64_t g_;
-  uint64_t max_total_cells_;  // kept for CloneEmpty (merge-shard contract)
-  uint64_t tuple_count_;
-  // One oracle per level tuple != all-zero; index = little-endian mixed
-  // radix over (h+1), dimension 0 least significant, matching
-  // core/multidim.h. Slot 0 stays null (the all-root cell is exact).
-  std::vector<std::unique_ptr<OlhOracle>> oracles_;
-  std::vector<std::vector<double>> estimates_;
 };
 
 }  // namespace ldp::protocol

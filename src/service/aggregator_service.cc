@@ -681,13 +681,12 @@ MergeStatus AggregatorService::RunFanInMergeLocked(
   merge_fan_in_ns_->Record(obs::NowNanos() - start_ns);
 
   lock.lock();
-  if (status == MergeStatus::kOk && finalize) {
-    FinalizeClaimedLocked(lock, server_id);
-  }
-  entry.scheduled = false;
-  if (--busy_entries_ == 0 && ReadyEmptyLocked()) {
-    idle_.notify_all();
-  }
+  // Chunks admitted during the reduction queued behind the claim, which
+  // ScheduleLocked skips. Hand the claimed strand to ProcessEntry: it
+  // absorbs them first, then runs the merge's finalize (if any), then
+  // releases the claim. With an empty queue this is O(1).
+  if (status == MergeStatus::kOk && finalize) entry.finalize_pending = true;
+  ProcessEntry(lock, server_id);
   return status;
 }
 

@@ -2,21 +2,25 @@
 // total over adversarial bytes, the sharded client encoder is
 // bit-identical for every thread count, and a rectangle query answered
 // over the wire (streamed batches -> kMultiDimQuery) matches the
-// in-process aggregate bit for bit.
+// in-process aggregate bit for bit — and both match the core
+// HierarchicalGrid over OLH fed the same points.
 
 #include "protocol/multidim_protocol.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/multidim.h"
 #include "protocol/envelope.h"
 #include "protocol/report_codec.h"
 #include "service/aggregator_service.h"
 #include "service/server_factory.h"
+#include "service/state_wire.h"
 #include "service/stream_wire.h"
 
 namespace ldp {
@@ -243,6 +247,44 @@ TEST(MultiDimClientServer, RejectsInvalidReportsWithAccounting) {
   EXPECT_EQ(server.rejected_reports(), 6u);
 }
 
+TEST(MultiDimClientServer, StateRecordWithDecodedSupportIsRejected) {
+  // Snapshots come from unfinalized servers, which never decode, so every
+  // tuple record is [reports][decoded = 0][pending = reports][records].
+  // A record carrying decoded support counts (decoded = 1) cannot come
+  // from one and is rejected as malformed. d = 2, D = 4: tuple 1 is
+  // levels (1, 0), a grid of 2 cells; tuples 2..8 stay empty.
+  auto snapshot = [](std::vector<uint8_t> tuple1) {
+    std::vector<uint8_t> body = {0x09};
+    body.insert(body.end(), tuple1.begin(), tuple1.end());
+    for (int t = 2; t <= 8; ++t) body.insert(body.end(), {0, 0, 0});
+    service::StateSnapshotHeader header;
+    header.kind = service::StateKind::kGrid;
+    header.dimensions = 2;
+    header.domain = 4;
+    header.fanout = 2;
+    header.eps = 1.0;
+    header.accepted = 1;
+    return service::SerializeStateSnapshot(header, body);
+  };
+  // One report, decoded: support {1, 0} as two u64s, nothing pending.
+  std::vector<uint8_t> decoded = {0x01, 0x01};
+  decoded.insert(decoded.end(), {1, 0, 0, 0, 0, 0, 0, 0});
+  decoded.insert(decoded.end(), {0, 0, 0, 0, 0, 0, 0, 0});
+  decoded.push_back(0x00);
+  MultiDimServer server(4, 2, 1.0);
+  EXPECT_EQ(server.MergeSerializedState(snapshot(decoded)),
+            service::MergeStatus::kMalformedSnapshot);
+  EXPECT_EQ(server.accepted_reports(), 0u);
+
+  // The same report pending (seed 7, cell 1) restores.
+  const std::vector<uint8_t> pending = {0x01, 0x00, 0x01, 7, 0, 0, 0, 0,
+                                        0,    0,    0,    1, 0, 0, 0};
+  ASSERT_EQ(server.MergeSerializedState(snapshot(pending)),
+            service::MergeStatus::kOk);
+  EXPECT_EQ(server.accepted_reports(), 1u);
+  EXPECT_EQ(server.SerializeState(), snapshot(pending));
+}
+
 // --- Query plane wire structs -------------------------------------------
 
 TEST(MultiDimQueryWire, RequestRoundTrips) {
@@ -367,6 +409,79 @@ TEST(MultiDimService, StreamedIngestMatchesInProcessBitForBit) {
       RangeEstimate expected = in_process.BoxQueryWithUncertainty(direct);
       EXPECT_EQ(response.estimates[0].estimate, expected.value)
           << "rect " << r << " at " << workers << " workers";
+      EXPECT_EQ(response.estimates[0].variance,
+                expected.stddev * expected.stddev);
+    }
+  }
+}
+
+TEST(MultiDimService, ServedAndInProcessMatchCoreGridBitForBit) {
+  // The wire grid is the core HierarchicalGrid over OLH: the same points
+  // drawn from the same Rng give bit-identical values and stddevs
+  // in process, over the wire, and from the core mechanism.
+  const double kEps = 1.1;
+  for (uint32_t dims : {2u, 3u}) {
+    SCOPED_TRACE(std::to_string(dims) + " dimensions");
+    const uint64_t domain = dims == 2 ? 64 : 16;
+    std::vector<uint64_t> coords;
+    for (uint64_t i = 0; i < 20000; ++i) {
+      for (uint32_t dim = 0; dim < dims; ++dim) {
+        coords.push_back((i * (7 + 4 * dim) + dim * i / 3) % domain);
+      }
+    }
+
+    HierarchicalGridConfig config;
+    config.fanout = 2;
+    config.oracle = OracleKind::kOlh;
+    HierarchicalGrid grid(domain, dims, kEps, config);
+    Rng grid_rng(99);
+    grid.EncodePoints(coords, grid_rng);
+    Rng finalize_rng(5);
+    grid.Finalize(finalize_rng);
+
+    MultiDimClient client(domain, dims, kEps);
+    Rng client_rng(99);
+    const std::vector<MultiDimReport> reports =
+        client.EncodeUsers(coords, client_rng);
+    MultiDimServer in_process(domain, dims, kEps);
+    for (const MultiDimReport& report : reports) {
+      ASSERT_TRUE(in_process.Absorb(report));
+    }
+    in_process.Finalize();
+
+    AggregatorService service(/*worker_threads=*/2);
+    const uint64_t server_id =
+        service.AddServer(MakeAggregatorServer(GridSpec(domain, dims, kEps)));
+    const uint64_t kSession = 77;
+    service.HandleMessage(service::SerializeStreamBegin({kSession, server_id}));
+    service.HandleMessage(service::SerializeStreamChunk(
+        kSession, 0, SerializeReportBatch(MultiDimLayout{dims}, reports)));
+    service.HandleMessage(service::SerializeStreamEnd(
+        {kSession, 1, service::kStreamFlagFinalize}));
+    service.Drain();
+    ASSERT_TRUE(service.server_finalized(server_id));
+
+    std::vector<std::vector<AxisInterval>> boxes = {
+        std::vector<AxisInterval>(dims, AxisInterval{0, domain - 1}),
+        std::vector<AxisInterval>(dims, AxisInterval{3, domain / 2}),
+        std::vector<AxisInterval>(dims, AxisInterval{5, 5})};
+    boxes[1][0] = AxisInterval{1, domain - 2};
+    for (size_t b = 0; b < boxes.size(); ++b) {
+      SCOPED_TRACE("box " + std::to_string(b));
+      const RangeEstimate expected = grid.BoxQueryWithUncertainty(boxes[b]);
+      const RangeEstimate direct = in_process.BoxQueryWithUncertainty(boxes[b]);
+      EXPECT_EQ(direct.value, expected.value);
+      EXPECT_EQ(direct.stddev, expected.stddev);
+
+      QueryBox box;
+      for (const AxisInterval& axis : boxes[b]) {
+        box.axes.push_back({axis.lo, axis.hi});
+      }
+      service::MultiDimQueryResponse response =
+          AskBox(service, server_id, b + 1, {box}, dims);
+      ASSERT_EQ(response.status, QueryStatus::kOk);
+      ASSERT_EQ(response.estimates.size(), 1u);
+      EXPECT_EQ(response.estimates[0].estimate, expected.value);
       EXPECT_EQ(response.estimates[0].variance,
                 expected.stddev * expected.stddev);
     }

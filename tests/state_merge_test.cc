@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -430,6 +434,83 @@ TEST(ServiceMergePlane, FanInBitIdenticalAcrossWorkersAndPushOrder) {
             svc.registry().GetHistogram("merge.fan_in_ns").Snapshot().count,
             1u);
       }
+    }
+  }
+}
+
+TEST(ServiceMergePlane, ChunksAdmittedDuringAFanInAreAbsorbed) {
+  // The fan-in claims the target's strand and reduces with the lock
+  // released, so a producer streaming to the same server keeps getting
+  // chunks admitted into its queue meanwhile. Every one of them must be
+  // absorbed — before the merge's finalize, when the merge carries one —
+  // and none may be left queued once the service drains. Looped, because
+  // the overlap is a race.
+  ServerSpec spec;
+  spec.kind = ServerKind::kFlat;
+  spec.domain = uint64_t{1} << 14;  // a reduction long enough to overlap
+  spec.eps = kEps;
+  constexpr uint64_t kFanIn = 48;
+  constexpr uint64_t kChunkReports = 200;
+  const std::vector<uint64_t> values = TestValues(kChunkReports, spec.domain);
+  const std::vector<uint8_t> chunk = EncodeShardBatch(spec, values, 0xC4);
+  const std::vector<uint8_t> snapshot =
+      IngestedServer(spec, {&chunk, 1})->SerializeState();
+
+  for (int round = 0; round < 6; ++round) {
+    for (bool finalize : {false, true}) {
+      SCOPED_TRACE("round " + std::to_string(round) +
+                   (finalize ? " finalizing" : " merge only"));
+      // A queue bound the producer never reaches: it must not block.
+      AggregatorService svc(/*worker_threads=*/2,
+                            /*queue_high_water=*/uint64_t{1} << 20);
+      const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
+      const uint8_t flags = finalize ? service::kMergeFlagFinalize : 0;
+      for (uint64_t s = 0; s + 1 < kFanIn; ++s) {
+        ASSERT_EQ(MustParseAck(MergePush(svc, /*merge_id=*/5, id, s, kFanIn,
+                                         flags, snapshot))
+                      .status,
+                  MergeStatus::kOk);
+      }
+      const uint64_t kSession = 900 + round;
+      svc.HandleMessage(service::SerializeStreamBegin({kSession, id}));
+      std::atomic<uint64_t> sent{0};
+      std::atomic<bool> merged{false};
+      // Chunks sent after a finalizing merge are late; a merge-only round
+      // sends none, so nothing after the merge reschedules the strand.
+      const uint64_t after_merge = finalize ? 4 : 0;
+      std::thread producer([&] {
+        uint64_t sequence = 0;
+        uint64_t extra = 0;
+        while (!merged.load() || extra++ < after_merge) {
+          svc.HandleMessage(
+              service::SerializeStreamChunk(kSession, sequence++, chunk));
+          sent.store(sequence);
+          // Paced, so the strand goes idle between chunks and the merge's
+          // wait for an idle service ends.
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+      });
+      while (sent.load() < 4) std::this_thread::yield();
+      const StateMergeResponse ack = MustParseAck(MergePush(
+          svc, /*merge_id=*/5, id, kFanIn - 1, kFanIn, flags, snapshot));
+      merged.store(true);
+      producer.join();
+      ASSERT_EQ(ack.status, MergeStatus::kOk);
+      service::StreamEnd end;
+      end.session_id = kSession;
+      end.chunk_count = sent.load();
+      svc.HandleMessage(service::SerializeStreamEnd(end));
+      svc.Drain();
+
+      const service::ServiceStats stats = svc.stats();
+      EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 0);
+      EXPECT_EQ(stats.chunks_absorbed + stats.late_chunks, sent.load());
+      if (!finalize) {
+        EXPECT_EQ(stats.late_chunks, 0u);
+      }
+      EXPECT_EQ(svc.server(id).accepted_reports(),
+                kChunkReports * (kFanIn + sent.load() - stats.late_chunks));
+      EXPECT_EQ(svc.server_finalized(id), finalize);
     }
   }
 }

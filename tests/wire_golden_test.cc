@@ -515,6 +515,62 @@ TEST(WireGolden, V2StateSnapshotLayoutIsPinned) {
   EXPECT_EQ(std::vector<uint8_t>(back.body.begin(), back.body.end()), body);
 }
 
+TEST(WireGolden, V2GridStateSnapshotIsPinned) {
+  // A grid server's snapshot, body included. d = 2, D = 4, fanout 2
+  // (h = 2, so 3^2 = 9 level tuples), eps 1.0 (OLH hash range 4): kind 5 |
+  // dims 2 | domain 4 | fanout 2 | eps | accepted 4 | rejected 1 | body.
+  // Body: [tuples varint 9], then for tuples 1..8 (dimension 0 least
+  // significant) [reports varint][decoded u8 = 0][pending varint]
+  // [pending x (seed u64 LE, cell u32 LE)] in arrival order.
+  const std::vector<uint8_t> expected = {
+      0x4C, 0x52, 0x02, 0x30, 0x57, 0x00, 0x00, 0x00,
+      0x05, 0x02, 0x04, 0x02,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+      0x04, 0x01,
+      0x09,
+      // Tuple 1 = levels (1, 0): two reports, in arrival order.
+      0x02, 0x00, 0x02,
+      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x33, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // Tuples 2, 3 and 4: empty.
+      0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00,
+      // Tuple 5 = levels (2, 1).
+      0x01, 0x00, 0x01,
+      0x44, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      // Tuple 6 = levels (0, 2).
+      0x01, 0x00, 0x01,
+      0x22, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      // Tuples 7 and 8: empty.
+      0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00};
+  protocol::MultiDimServer server(/*domain_per_dim=*/4, /*dimensions=*/2,
+                                  /*eps=*/1.0);
+  ASSERT_EQ(server.hash_range(), 4u);
+  std::vector<protocol::MultiDimReport> reports(5);
+  reports[0].levels = {1, 0};
+  reports[0].seed = 0x11;
+  reports[0].cell = 2;
+  reports[1].levels = {0, 2};
+  reports[1].seed = 0x22;
+  reports[1].cell = 3;
+  reports[2].levels = {1, 0};
+  reports[2].seed = 0x33;
+  reports[2].cell = 0;
+  reports[3].levels = {2, 1};
+  reports[3].seed = 0x44;
+  reports[3].cell = 1;
+  reports[4].levels = {3, 0};  // level past the tree height: rejected
+  for (const protocol::MultiDimReport& report : reports) server.Absorb(report);
+  EXPECT_EQ(server.SerializeState(), expected);
+
+  // The pinned bytes restore and re-serialize canonically.
+  protocol::MultiDimServer restored(4, 2, 1.0);
+  ASSERT_EQ(restored.MergeSerializedState(expected), service::MergeStatus::kOk);
+  EXPECT_EQ(restored.SerializeState(), expected);
+}
+
 TEST(WireGolden, V2StateMergeLayoutIsPinned) {
   // "LR" | v2 | tag 0x31 | payload_len 41 | merge_id u64 LE |
   // server_id u64 LE | shard_index varint | shard_count varint |
