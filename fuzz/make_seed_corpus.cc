@@ -527,6 +527,20 @@ void EmitState() {
     ingest(*server, SerializeReportBatch(AheadLayout{}, reports));
     WriteFile("decode_envelope", "state_snapshot_ahead",
               server->SerializeState());
+    // The phase-2 era: tree installed, frontier tallies present, so the
+    // merge loop runs the frontier restore and the tree-adopting merge.
+    // Its own stream keeps `rng`'s later draws, and their seeds, as they
+    // were.
+    Rng phase2_rng(910);
+    auto& ahead = static_cast<AheadServer&>(*server);
+    if (!client.AbsorbTreeDescription(ahead.BuildTree())) {
+      std::fprintf(stderr, "ahead tree handoff failed\n");
+      std::exit(1);
+    }
+    const std::vector<uint64_t> values = {5, 17, 40, 63};
+    ingest(*server, client.EncodePhase2UsersSerialized(values, phase2_rng));
+    WriteFile("decode_envelope", "state_snapshot_ahead_tree",
+              server->SerializeState());
   }
   // Grid, matching the harness's 16x16 fanout-2 spec.
   {

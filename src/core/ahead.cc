@@ -14,12 +14,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-}  // namespace
-
+// 0 (and anything deeper than the tree) means the full height.
 uint32_t ResolveAheadDepthCap(const TreeShape& shape, uint32_t max_depth) {
   if (max_depth == 0 || max_depth > shape.height()) return shape.height();
   return max_depth;
 }
+
+}  // namespace
 
 std::string AheadMethodName(const AheadConfig& config) {
   std::string name = "AHEAD";
@@ -195,8 +196,18 @@ std::vector<int64_t> AdaptiveTree::ParentIndices() const {
   return parents;
 }
 
-// --- Shared estimate plumbing ---------------------------------------------
+// --- Estimate plumbing ----------------------------------------------------
 
+namespace {
+
+// Combines per-frontier-level estimates into per-node values: a node
+// appearing in several frontiers (a carried leaf) gets the
+// inverse-variance weighted average of its appearances — the
+// minimum-variance unbiased combination. `level_estimates[l-1][j]` is
+// frontier l's estimate for its j-th element and `level_variances[l-1]`
+// that level's per-element estimator variance (+inf for a level with no
+// reports). Outputs are indexed like tree.nodes(); the root is pinned to
+// (1, 0), a node with no usable level to (0, +inf).
 void CombineFrontierEstimates(
     const AdaptiveTree& tree,
     std::span<const std::vector<double>> level_estimates,
@@ -228,8 +239,8 @@ void CombineFrontierEstimates(
   }
 }
 
-namespace {
-
+// Sums the maximal tree nodes inside [a, b] (inclusive) and resolves a
+// partial overlap with a leaf by the uniform-within-leaf assumption.
 void AccumulateRange(const AdaptiveTree& tree,
                      std::span<const double> node_values,
                      std::span<const double> node_variances, uint32_t i,
@@ -264,38 +275,6 @@ void AccumulateRange(const AdaptiveTree& tree,
 
 }  // namespace
 
-RangeEstimate AdaptiveRangeEstimate(const AdaptiveTree& tree,
-                                    std::span<const double> node_values,
-                                    std::span<const double> node_variances,
-                                    uint64_t a, uint64_t b) {
-  LDP_CHECK_EQ(node_values.size(), tree.nodes().size());
-  LDP_CHECK_EQ(node_variances.size(), tree.nodes().size());
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, tree.shape().padded_domain());
-  double value = 0.0;
-  double variance = 0.0;
-  AccumulateRange(tree, node_values, node_variances, 0, a, b, value,
-                  variance);
-  return RangeEstimate{value, std::sqrt(variance)};
-}
-
-std::vector<double> AdaptiveLeafFrequencies(
-    const AdaptiveTree& tree, std::span<const double> node_values,
-    uint64_t domain) {
-  LDP_CHECK_EQ(node_values.size(), tree.nodes().size());
-  std::vector<double> freqs(domain, 0.0);
-  for (uint32_t i = 0; i < tree.nodes().size(); ++i) {
-    const AdaptiveNode& n = tree.nodes()[i];
-    if (!n.is_leaf()) continue;
-    double per_cell = node_values[i] / static_cast<double>(n.block_length());
-    uint64_t end = std::min(n.block_end, domain);
-    for (uint64_t z = n.block_start; z < end; ++z) {
-      freqs[z] = per_cell;
-    }
-  }
-  return freqs;
-}
-
 // --- AheadMechanism -------------------------------------------------------
 
 AheadMechanism::AheadMechanism(uint64_t domain, double eps,
@@ -314,26 +293,29 @@ AheadMechanism::AheadMechanism(uint64_t domain, double eps,
   phase1_config.consistency = true;
   phase1_tree_ =
       std::make_unique<HierarchicalMechanism>(domain, eps, phase1_config);
-  phase2_counts_.assign(domain, 0);
 }
 
 std::string AheadMechanism::Name() const { return AheadMethodName(config_); }
 
+uint64_t AheadMechanism::phase2_user_count() const {
+  uint64_t users = phase2_users_;
+  for (const auto& oracle : frontier_oracles_) users += oracle->report_count();
+  return users;
+}
+
 double AheadMechanism::ReportBits() const {
   // A phase-1 user ships one HH-style level-sampled report; a phase-2
   // user ships a sampled level id plus one frontier-oracle report. Before
-  // Finalize the tree (and thus the frontier sizes) is unknown, so the
-  // phase-2 term falls back to the phase-1 size — an upper bound, since
-  // every frontier is at most the complete level it prunes.
+  // the tree exists the frontier sizes are unknown, so the phase-2 term
+  // falls back to the phase-1 size — an upper bound, since every frontier
+  // is at most the complete level it prunes.
   double phase1_bits = phase1_tree_->ReportBits();
   double phase2_bits = phase1_bits;
-  if (finalized_) {
+  if (tree_.has_value()) {
     const uint32_t num_levels = tree_->num_levels();
     double oracle_bits = 0.0;
-    for (uint32_t l = 1; l <= num_levels; ++l) {
-      oracle_bits +=
-          MakeOracle(config_.oracle, tree_->FrontierSize(l), eps_)
-              ->ReportBits();
+    for (const auto& oracle : frontier_oracles_) {
+      oracle_bits += oracle->ReportBits();
     }
     phase2_bits = static_cast<double>(Log2Ceil(num_levels)) +
                   oracle_bits / num_levels;
@@ -343,35 +325,23 @@ double AheadMechanism::ReportBits() const {
 }
 
 void AheadMechanism::EncodeUser(uint64_t value, Rng& rng) {
-  LDP_CHECK_LT(value, domain_);
-  LDP_CHECK_MSG(!finalized_, "EncodeUser after Finalize");
-  // The phase coin is the user's own: drawn from their private stream, so
-  // the partition is oblivious to the data and to the shard layout.
-  if (rng.Bernoulli(config_.phase1_fraction)) {
-    phase1_tree_->EncodeUser(value, rng);
-    ++phase1_users_;
-  } else {
-    ++phase2_counts_[value];
-    ++phase2_users_;
-  }
-  ++users_;
+  EncodeUsers({&value, 1}, rng);
 }
 
 void AheadMechanism::EncodeUsers(std::span<const uint64_t> values, Rng& rng) {
   LDP_CHECK_MSG(!finalized_, "EncodeUsers after Finalize");
-  // Same draw order as the EncodeUser loop (coin, then submit), with the
-  // finalized check hoisted out of the hot loop.
   for (uint64_t value : values) {
     LDP_CHECK_LT(value, domain_);
+    // The phase coin is the user's own: drawn from their private stream,
+    // so the partition is oblivious to the data and to the shard layout.
     if (rng.Bernoulli(config_.phase1_fraction)) {
       phase1_tree_->EncodeUser(value, rng);
-      ++phase1_users_;
     } else {
+      if (phase2_counts_.empty()) phase2_counts_.assign(domain_, 0);
       ++phase2_counts_[value];
       ++phase2_users_;
     }
   }
-  users_ += values.size();
 }
 
 std::unique_ptr<RangeMechanism> AheadMechanism::CloneEmpty() const {
@@ -388,21 +358,32 @@ void AheadMechanism::MergeFrom(const RangeMechanism& other) {
   LDP_CHECK(o->config_.oracle == config_.oracle);
   LDP_CHECK(o->config_.phase1_fraction == config_.phase1_fraction);
   phase1_tree_->MergeFrom(*o->phase1_tree_);
-  for (uint64_t z = 0; z < domain_; ++z) {
-    phase2_counts_[z] += o->phase2_counts_[z];
+  if (!o->phase2_counts_.empty()) {
+    if (phase2_counts_.empty()) phase2_counts_.assign(domain_, 0);
+    for (uint64_t z = 0; z < domain_; ++z) {
+      phase2_counts_[z] += o->phase2_counts_[z];
+    }
   }
-  users_ += o->users_;
-  phase1_users_ += o->phase1_users_;
   phase2_users_ += o->phase2_users_;
+  if (o->tree_.has_value()) {
+    if (!tree_.has_value()) InstallTree(*o->tree_);
+    LDP_CHECK_MSG(tree_->SplitNodes() == o->tree_->SplitNodes(),
+                  "cannot merge frontier counts over different trees");
+    for (size_t l = 0; l < frontier_oracles_.size(); ++l) {
+      frontier_oracles_[l]->MergeFrom(*o->frontier_oracles_[l]);
+    }
+  }
 }
 
-void AheadMechanism::Finalize(Rng& rng) {
-  LDP_CHECK_MSG(!finalized_, "Finalize called twice");
-
-  // Phase 1 decode: finalize the embedded HH_B, giving every candidate
-  // node an own-granularity mass estimate (constant variance per node —
-  // the property the split decisions depend on).
-  phase1_tree_->Finalize(rng);
+AdaptiveTree AheadMechanism::BuildTree(uint64_t expected_phase2_users,
+                                       Rng& rng) const {
+  // Phase 1 decode: finalize a copy of the embedded HH_B, giving every
+  // candidate node an own-granularity mass estimate (constant variance
+  // per node — the property the split decisions depend on).
+  std::unique_ptr<RangeMechanism> phase1 = phase1_tree_->CloneEmpty();
+  phase1->MergeFrom(*phase1_tree_);
+  phase1->Finalize(rng);
+  const auto& estimates = static_cast<const HierarchicalMechanism&>(*phase1);
 
   // Adaptive decomposition: split a node only when its estimated mass
   // clears the noise floor of the phase-2 estimates its children would
@@ -414,31 +395,58 @@ void AheadMechanism::Finalize(Rng& rng) {
   // independent of the node's size or depth: an under-split of a heavy
   // node costs a large uniform-within-leaf bias, while an over-split of
   // an empty one costs a little variance, so ties break toward
-  // splitting.
+  // splitting. The oracle-shared bound V_F stands in for oracles whose
+  // variance depends on the frontier size (GRR).
   double phase2_level_reports = std::max(
-      1.0, static_cast<double>(phase2_users_) / max_depth_);
+      1.0, static_cast<double>(expected_phase2_users) / max_depth_);
   double theta = config_.threshold_scale * 2.0 *
                  std::sqrt(OracleVariance(eps_, phase2_level_reports));
-  bool no_signal = phase1_users_ == 0;
+  bool no_signal = phase1_user_count() == 0;
   auto should_split = [&](const TreeNode& n) {
     if (config_.threshold_scale <= 0.0 || no_signal) return true;
-    return phase1_tree_->NodeEstimate(n) > theta;
+    return estimates.NodeEstimate(n) > theta;
   };
-  tree_ = AdaptiveTree::Grow(shape_, max_depth_, should_split);
+  return AdaptiveTree::Grow(shape_, max_depth_, should_split);
+}
+
+void AheadMechanism::InstallTree(AdaptiveTree tree) {
+  LDP_CHECK_MSG(!tree_.has_value(), "tree already installed");
+  LDP_CHECK_MSG(!finalized_, "InstallTree after Finalize");
+  LDP_CHECK(tree.shape().domain() == domain_);
+  LDP_CHECK(tree.shape().fanout() == config_.fanout);
+  tree_ = std::move(tree);
+  for (uint32_t l = 1; l <= tree_->num_levels(); ++l) {
+    frontier_oracles_.push_back(
+        MakeOracle(config_.oracle, tree_->FrontierSize(l), eps_));
+  }
+}
+
+const AdaptiveTree& AheadMechanism::tree() const {
+  LDP_CHECK_MSG(tree_.has_value(), "no tree yet");
+  return *tree_;
+}
+
+FrequencyOracle& AheadMechanism::phase1_oracle(uint32_t level) {
+  return phase1_tree_->level_oracle(level);
+}
+
+FrequencyOracle& AheadMechanism::frontier_oracle(uint32_t level) {
+  LDP_CHECK_GE(level, 1u);
+  LDP_CHECK_LE(level, frontier_oracles_.size());
+  return *frontier_oracles_[level - 1];
+}
+
+void AheadMechanism::Finalize(Rng& rng) {
+  LDP_CHECK_MSG(!finalized_, "Finalize called twice");
+  if (!tree_.has_value()) InstallTree(BuildTree(phase2_users_, rng));
+  const uint32_t num_levels = tree_->num_levels();
 
   // Phase 2: simulate the level-sampled reports over the frontiers (the
   // kOueSimulated idiom — the aggregate noise is drawn here rather than
   // per user, which is what keeps ingestion O(1)/user and shard-order
   // independent).
-  const uint32_t num_levels = tree_->num_levels();
-  std::vector<std::unique_ptr<FrequencyOracle>> level_oracles;
-  level_oracles.reserve(num_levels);
-  for (uint32_t l = 1; l <= num_levels; ++l) {
-    level_oracles.push_back(
-        MakeOracle(config_.oracle, tree_->FrontierSize(l), eps_));
-  }
   std::vector<uint64_t> cell_frontier(num_levels);
-  for (uint64_t z = 0; z < domain_; ++z) {
+  for (uint64_t z = 0; z < phase2_counts_.size(); ++z) {
     uint64_t count = phase2_counts_[z];
     if (count == 0) continue;
     for (uint32_t l = 1; l <= num_levels; ++l) {
@@ -446,24 +454,27 @@ void AheadMechanism::Finalize(Rng& rng) {
     }
     for (uint64_t u = 0; u < count; ++u) {
       uint32_t pick = static_cast<uint32_t>(rng.UniformInt(num_levels));
-      level_oracles[pick]->SubmitValue(cell_frontier[pick], rng);
+      frontier_oracles_[pick]->SubmitValue(cell_frontier[pick], rng);
     }
   }
+  phase2_counts_ = {};  // reported now: the frontier oracles count them
+  phase2_users_ = 0;
+
+  // The shared tail: per-frontier estimates, the carried-leaf combine,
+  // constrained inference, non-negativity.
   std::vector<std::vector<double>> level_estimates(num_levels);
   std::vector<double> level_vars(num_levels, kInf);
   for (uint32_t l = 0; l < num_levels; ++l) {
-    level_oracles[l]->Finalize(rng);
-    if (level_oracles[l]->report_count() > 0) {
-      level_estimates[l] = level_oracles[l]->EstimateFractions();
-      level_vars[l] = level_oracles[l]->EstimatorVariance();
+    frontier_oracles_[l]->Finalize(rng);
+    if (frontier_oracles_[l]->report_count() > 0) {
+      level_estimates[l] = frontier_oracles_[l]->EstimateFractions();
+      level_vars[l] = frontier_oracles_[l]->EstimatorVariance();
     } else {
       level_estimates[l].assign(tree_->FrontierSize(l + 1), 0.0);
     }
   }
-
   CombineFrontierEstimates(*tree_, level_estimates, level_vars,
                            &node_values_, &node_variances_);
-
   std::vector<int64_t> parents = tree_->ParentIndices();
   if (config_.consistency) {
     EnforceAdaptiveConsistency(parents, node_values_, node_variances_,
@@ -475,23 +486,6 @@ void AheadMechanism::Finalize(Rng& rng) {
   finalized_ = true;
 }
 
-const AdaptiveTree& AheadMechanism::tree() const {
-  LDP_CHECK_MSG(finalized_, "tree() before Finalize");
-  return *tree_;
-}
-
-double AheadMechanism::NodeEstimate(uint32_t i) const {
-  LDP_CHECK_MSG(finalized_, "NodeEstimate before Finalize");
-  LDP_CHECK_LT(i, node_values_.size());
-  return node_values_[i];
-}
-
-double AheadMechanism::NodeVariance(uint32_t i) const {
-  LDP_CHECK_MSG(finalized_, "NodeVariance before Finalize");
-  LDP_CHECK_LT(i, node_variances_.size());
-  return node_variances_[i];
-}
-
 double AheadMechanism::RangeQuery(uint64_t a, uint64_t b) const {
   return RangeQueryWithUncertainty(a, b).value;
 }
@@ -499,13 +493,30 @@ double AheadMechanism::RangeQuery(uint64_t a, uint64_t b) const {
 RangeEstimate AheadMechanism::RangeQueryWithUncertainty(uint64_t a,
                                                         uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
+  LDP_CHECK_LE(a, b);
   LDP_CHECK_LT(b, domain_);
-  return AdaptiveRangeEstimate(*tree_, node_values_, node_variances_, a, b);
+  double value = 0.0;
+  double variance = 0.0;
+  AccumulateRange(*tree_, node_values_, node_variances_, 0, a, b, value,
+                  variance);
+  return RangeEstimate{value, std::sqrt(variance)};
 }
 
 std::vector<double> AheadMechanism::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  return AdaptiveLeafFrequencies(*tree_, node_values_, domain_);
+  // Each leaf's mass spread uniformly over its block, padding cells
+  // beyond the domain dropped.
+  std::vector<double> freqs(domain_, 0.0);
+  for (uint32_t i = 0; i < tree_->nodes().size(); ++i) {
+    const AdaptiveNode& n = tree_->nodes()[i];
+    if (!n.is_leaf()) continue;
+    double per_cell = node_values_[i] / static_cast<double>(n.block_length());
+    uint64_t end = std::min(n.block_end, domain_);
+    for (uint64_t z = n.block_start; z < end; ++z) {
+      freqs[z] = per_cell;
+    }
+  }
+  return freqs;
 }
 
 }  // namespace ldp

@@ -136,35 +136,6 @@ class AdaptiveTree {
   std::vector<std::vector<uint64_t>> starts_;
 };
 
-/// Combines per-frontier-level estimates into per-node values: a node
-/// appearing in several frontiers (a carried leaf) gets the
-/// inverse-variance weighted average of its appearances — the
-/// minimum-variance unbiased combination. `level_estimates[l-1][j]` is
-/// frontier l's estimate for its j-th element and `level_variances[l-1]`
-/// that level's per-element estimator variance (+inf for a level with no
-/// reports). Outputs are indexed like tree.nodes(); the root is pinned to
-/// (1, 0), a node with no usable level to (0, +inf). Shared by
-/// AheadMechanism and the wire server (protocol/ahead_protocol.h).
-void CombineFrontierEstimates(
-    const AdaptiveTree& tree,
-    std::span<const std::vector<double>> level_estimates,
-    std::span<const double> level_variances,
-    std::vector<double>* node_values, std::vector<double>* node_variances);
-
-/// Range estimate over an adaptive tree given per-node values/variances:
-/// sums the maximal tree nodes inside [a, b] (inclusive) and resolves a
-/// partial overlap with a leaf by the uniform-within-leaf assumption.
-RangeEstimate AdaptiveRangeEstimate(const AdaptiveTree& tree,
-                                    std::span<const double> node_values,
-                                    std::span<const double> node_variances,
-                                    uint64_t a, uint64_t b);
-
-/// Per-item frequency vector (length `domain`): each leaf's mass spread
-/// uniformly over its block, padding cells beyond `domain` dropped.
-std::vector<double> AdaptiveLeafFrequencies(
-    const AdaptiveTree& tree, std::span<const double> node_values,
-    uint64_t domain);
-
 /// Configuration for the AHEAD mechanism.
 struct AheadConfig {
   uint64_t fanout = 4;                            // B
@@ -186,12 +157,6 @@ struct AheadConfig {
   bool nonnegativity = true;
 };
 
-/// Resolves an AheadConfig-style depth cap against a tree: 0 (and
-/// anything deeper than the tree) means the full height. Shared by the
-/// mechanism and the wire server so the two can never normalize a cap
-/// differently.
-uint32_t ResolveAheadDepthCap(const TreeShape& shape, uint32_t max_depth);
-
 /// Table label for an AHEAD configuration, e.g. "AHEAD4", "AHEAD2-GRR"
 /// (the default oracle is elided, matching the HH naming convention).
 std::string AheadMethodName(const AheadConfig& config);
@@ -203,33 +168,62 @@ std::string AheadMethodName(const AheadConfig& config);
 /// noise at Finalize() time — statistically identical to the per-user
 /// protocol at the aggregator, O(1) per user, and (because every
 /// aggregate is an integer counter) bit-identical under EncodeUsersSharded
-/// for any thread count. The wire-deployable split of the same pipeline
-/// lives in src/protocol/ahead_protocol.h.
+/// for any thread count.
+///
+/// Finalize runs three steps that the wire server
+/// (protocol/ahead_protocol.h, one mechanism over GRR oracles) drives one
+/// at a time: BuildTree, InstallTree, and the shared tail (frontier
+/// estimates -> combine -> constrained inference -> non-negativity).
 class AheadMechanism final : public RangeMechanism {
  public:
   AheadMechanism(uint64_t domain, double eps, const AheadConfig& config);
 
   const AheadConfig& config() const { return config_; }
   const TreeShape& shape() const { return shape_; }
-  uint64_t phase1_user_count() const { return phase1_users_; }
-  uint64_t phase2_user_count() const { return phase2_users_; }
+  /// The depth cap with 0 resolved to the full tree height.
+  uint32_t max_depth() const { return max_depth_; }
+  uint64_t phase1_user_count() const { return phase1_tree_->user_count(); }
+  uint64_t phase2_user_count() const;
 
-  /// The adaptive tree (post-Finalize only).
+  /// Grows the adaptive tree from the phase-1 estimates; the split
+  /// threshold needs the phase-2 population, `expected_phase2_users`.
+  /// Decodes a copy of phase 1, so its tallies stay raw (mergeable,
+  /// serializable) after the tree exists.
+  AdaptiveTree BuildTree(uint64_t expected_phase2_users, Rng& rng) const;
+
+  /// Fixes the tree and creates one frontier oracle per level. Once,
+  /// before Finalize.
+  void InstallTree(AdaptiveTree tree);
+  bool has_tree() const { return tree_.has_value(); }
   const AdaptiveTree& tree() const;
 
-  /// Post-Finalize estimate (and variance) of node i's population mass.
-  double NodeEstimate(uint32_t i) const;
-  double NodeVariance(uint32_t i) const;
+  /// The oracle behind complete-tree level l of phase 1, and behind
+  /// frontier level l (needs the tree); 1-based. Mutable so a wire front
+  /// end can absorb externally encoded reports and restore state.
+  FrequencyOracle& phase1_oracle(uint32_t level);
+  FrequencyOracle& frontier_oracle(uint32_t level);
 
-  uint64_t user_count() const override { return users_; }
+  uint64_t user_count() const override {
+    return phase1_user_count() + phase2_user_count();
+  }
   std::string Name() const override;
   double ReportBits() const override;
   void EncodeUser(uint64_t value, Rng& rng) override;
   void EncodeUsers(std::span<const uint64_t> values, Rng& rng) override;
   std::unique_ptr<RangeMechanism> CloneEmpty() const override;
+  /// Adopts `other`'s tree when this side has none; two different trees
+  /// are fatal (their frontier counts cannot be summed).
   void MergeFrom(const RangeMechanism& other) override;
+  /// Builds and installs the tree unless one is installed, draws the
+  /// in-process phase-2 users through the frontiers, then the tail.
   void Finalize(Rng& rng) override;
   double RangeQuery(uint64_t a, uint64_t b) const override;
+  /// Sums per-node variances that were fixed before constrained
+  /// inference, ignoring the covariances it creates and the
+  /// non-negativity rescale — so not the exact variance: the reported
+  /// stddev is about 1.6x the actual error (RMS error / stddev 0.63 at
+  /// D = 2^10, e^eps = 3). See the ROADMAP item on reported uncertainty
+  /// after constrained inference.
   RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                           uint64_t b) const override;
   std::vector<double> EstimateFrequencies() const override;
@@ -241,12 +235,14 @@ class AheadMechanism final : public RangeMechanism {
   // Phase 1 is a full embedded HH_B (level sampling, constrained
   // inference) whose only job is to place the splits.
   std::unique_ptr<HierarchicalMechanism> phase1_tree_;
-  std::vector<uint64_t> phase2_counts_;  // exact histogram, drawn at Finalize
-  uint64_t users_ = 0;
-  uint64_t phase1_users_ = 0;
+  // In-process phase-2 users not yet reported: an exact histogram
+  // (allocated on the first), drawn through the frontiers at Finalize.
+  std::vector<uint64_t> phase2_counts_;
   uint64_t phase2_users_ = 0;
   bool finalized_ = false;
   std::optional<AdaptiveTree> tree_;
+  // frontier_oracles_[l-1] covers frontier level l (post-InstallTree).
+  std::vector<std::unique_ptr<FrequencyOracle>> frontier_oracles_;
   std::vector<double> node_values_;     // post-Finalize, indexed like nodes()
   std::vector<double> node_variances_;
 };

@@ -375,7 +375,7 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
         case OracleKind::kGrr: {
           counts.assign(cells_t, 0);
           for (uint64_t r = 0; r < n_t; ++r) ++counts[slice[r]];
-          // Expression-for-expression GrrDebias (frequency/grr.cc), writing
+          // Expression-for-expression GrrOracle::EstimateFractions, writing
           // into the flat buffer instead of a returned vector.
           const double p = GrrTruthProbability(cells_t, eps_);
           const double q = (1.0 - p) / (static_cast<double>(cells_t) - 1.0);

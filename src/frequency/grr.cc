@@ -5,6 +5,7 @@
 
 #include "common/bit_util.h"
 #include "common/check.h"
+#include "protocol/wire.h"
 
 namespace ldp {
 
@@ -23,19 +24,6 @@ uint64_t GrrPerturb(uint64_t value, uint64_t k, double eps, Rng& rng) {
   // Uniform over the k-1 *other* values: draw from [0, k-1) and skip self.
   uint64_t r = rng.UniformInt(k - 1);
   return r >= value ? r + 1 : r;
-}
-
-std::vector<double> GrrDebias(std::span<const uint64_t> counts, uint64_t n,
-                              double eps) {
-  std::vector<double> est(counts.size(), 0.0);
-  if (n == 0) return est;
-  double p = GrrTruthProbability(counts.size(), eps);
-  double q = (1.0 - p) / (static_cast<double>(counts.size()) - 1.0);
-  double dn = static_cast<double>(n);
-  for (size_t j = 0; j < counts.size(); ++j) {
-    est[j] = (static_cast<double>(counts[j]) / dn - q) / (p - q);
-  }
-  return est;
 }
 
 double GrrLowFrequencyVariance(uint64_t k, double eps, uint64_t n) {
@@ -63,8 +51,7 @@ double GrrOracle::EstimatorVariance() const {
 
 void GrrOracle::SubmitValue(uint64_t value, Rng& rng) {
   LDP_CHECK_LT(value, domain_);
-  ++counts_[GrrPerturb(value, domain_, eps_, rng)];
-  ++reports_;
+  AbsorbReport(GrrPerturb(value, domain_, eps_, rng));
 }
 
 void GrrOracle::SubmitBatch(std::span<const uint64_t> values, Rng& rng) {
@@ -76,7 +63,16 @@ void GrrOracle::SubmitBatch(std::span<const uint64_t> values, Rng& rng) {
 }
 
 std::vector<double> GrrOracle::EstimateFractions() const {
-  return GrrDebias(counts_, reports_, eps_);
+  // All zeros before any report, with the matching +inf variance.
+  std::vector<double> est(domain_, 0.0);
+  if (reports_ == 0) return est;
+  double p = GrrTruthProbability(domain_, eps_);
+  double q = (1.0 - p) / (static_cast<double>(domain_) - 1.0);
+  double dn = static_cast<double>(reports_);
+  for (size_t j = 0; j < domain_; ++j) {
+    est[j] = (static_cast<double>(counts_[j]) / dn - q) / (p - q);
+  }
+  return est;
 }
 
 std::unique_ptr<FrequencyOracle> GrrOracle::CloneEmpty() const {
@@ -91,6 +87,20 @@ void GrrOracle::MergeFrom(const FrequencyOracle& other) {
     counts_[j] += o->counts_[j];
   }
   reports_ += o->reports_;
+}
+
+void GrrOracle::AppendState(std::vector<uint8_t>& out) const {
+  for (uint64_t c : counts_) protocol::AppendU64(out, c);
+}
+
+bool GrrOracle::RestoreState(protocol::WireReader& reader) {
+  uint64_t reports = 0;
+  for (uint64_t& c : counts_) {
+    if (!reader.ReadU64(&c)) return false;
+    if (__builtin_add_overflow(reports, c, &reports)) return false;
+  }
+  reports_ = reports;
+  return true;
 }
 
 }  // namespace ldp

@@ -14,9 +14,14 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "frequency/frequency_oracle.h"
 
 namespace ldp {
+
+namespace protocol {
+class WireReader;
+}  // namespace protocol
 
 /// Stateless client-side k-RR randomizer; shared with OLH.
 /// Returns the perturbed value in [0, k).
@@ -24,13 +29,6 @@ uint64_t GrrPerturb(uint64_t value, uint64_t k, double eps, Rng& rng);
 
 /// Probability that k-RR reports the true value.
 double GrrTruthProbability(uint64_t k, double eps);
-
-/// Debiased fraction estimates from raw k-RR tallies over n reports
-/// (k = counts.size()); all zeros when n == 0, with the matching +inf
-/// variance reported by GrrLowFrequencyVariance. Shared by GrrOracle and
-/// the AHEAD wire server's per-level histograms.
-std::vector<double> GrrDebias(std::span<const uint64_t> counts, uint64_t n,
-                              double eps);
 
 /// Low-frequency per-item variance of the k-RR estimator over n reports:
 /// q(1-q) / (n (p-q)^2) with q = (1-p)/(k-1); +inf when n == 0.
@@ -45,9 +43,29 @@ class GrrOracle final : public FrequencyOracle {
   double EstimatorVariance() const override;
   void SubmitValue(uint64_t value, Rng& rng) override;
   void SubmitBatch(std::span<const uint64_t> values, Rng& rng) override;
+
+  /// Aggregator-side ingest of one report a client already perturbed
+  /// (GrrPerturb's output, < D): a wire front end's absorb path.
+  void AbsorbReport(uint64_t reported) {
+    LDP_CHECK_LT(reported, domain_);
+    ++counts_[reported];
+    ++reports_;
+  }
   std::vector<double> EstimateFractions() const override;
   std::unique_ptr<FrequencyOracle> CloneEmpty() const override;
   void MergeFrom(const FrequencyOracle& other) override;
+
+  /// Appends this oracle's aggregate state in its canonical wire form:
+  /// [D x tally u64] (the report count is their sum). The counterpart
+  /// of RestoreState; see service/state_wire.h.
+  void AppendState(std::vector<uint8_t>& out) const;
+
+  /// Restores serialized state into this (empty, identically configured)
+  /// oracle. Total over adversarial bytes: false on truncation or on
+  /// tallies whose sum overflows uint64 (discard the oracle then — state
+  /// may be partially written). Reads exactly one AppendState record
+  /// from `reader`.
+  bool RestoreState(protocol::WireReader& reader);
 
  private:
   std::vector<uint64_t> counts_;

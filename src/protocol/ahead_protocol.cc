@@ -1,12 +1,9 @@
 #include "protocol/ahead_protocol.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
 #include "common/check.h"
-#include "core/consistency.h"
-#include "frequency/frequency_oracle.h"
 #include "frequency/grr.h"
 #include "protocol/wire.h"
 
@@ -14,7 +11,22 @@ namespace ldp::protocol {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+GrrOracle* AsGrr(FrequencyOracle& oracle) {
+  auto* grr = dynamic_cast<GrrOracle*>(&oracle);
+  LDP_CHECK_MSG(grr != nullptr, "AHEAD servers need GRR oracles");
+  return grr;
+}
+
+// The total report count of `levels`; nullopt when it overflows uint64.
+std::optional<uint64_t> TotalReports(std::span<GrrOracle* const> levels) {
+  uint64_t total = 0;
+  for (const GrrOracle* level : levels) {
+    if (__builtin_add_overflow(total, level->report_count(), &total)) {
+      return std::nullopt;
+    }
+  }
+  return total;
+}
 
 }  // namespace
 
@@ -163,105 +175,65 @@ std::vector<uint8_t> AheadClient::EncodePhase2UsersSerialized(
 
 AheadServer::AheadServer(uint64_t domain, uint64_t fanout, double eps,
                          const AheadServerConfig& config)
-    : shape_(domain, fanout),
-      eps_(eps),
-      config_(config),
-      max_depth_(ResolveAheadDepthCap(shape_, config.max_depth)) {
-  LDP_CHECK_MSG(eps > 0.0, "epsilon must be positive");
-  for (uint32_t l = 1; l <= shape_.height(); ++l) {
-    phase1_counts_.emplace_back(shape_.NodesAtLevel(l), 0);
-  }
-}
+    : AheadServer(std::make_unique<AheadMechanism>(
+          domain, eps,
+          AheadConfig{.fanout = fanout,
+                      .oracle = OracleKind::kGrr,
+                      .max_depth = config.max_depth,
+                      .threshold_scale = config.threshold_scale,
+                      .consistency = config.consistency,
+                      .nonnegativity = config.nonnegativity})) {}
 
-const AdaptiveTree& AheadServer::tree() const {
-  LDP_CHECK_MSG(tree_.has_value(), "tree not built yet");
-  return *tree_;
-}
-
-bool AheadServer::Accept(const AheadWireReport& report) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  // Phase-1 reports after the tree broadcast are stale: accepting them
-  // would let a client influence a decomposition other clients already
-  // encode against. Phase-2 reports before it have no frontier yet.
-  std::vector<std::vector<uint64_t>>* counts = nullptr;
-  if (report.phase == 1 && !tree_.has_value()) {
-    counts = &phase1_counts_;
-  } else if (report.phase == 2 && tree_.has_value()) {
-    counts = &level_counts_;
-  } else {
-    return false;
+AheadServer::AheadServer(std::unique_ptr<RangeMechanism> mechanism)
+    : ReportServer(std::move(mechanism)) {
+  for (uint32_t l = 1; l <= shape().height(); ++l) {
+    phase1_.push_back(AsGrr(mutable_ahead().phase1_oracle(l)));
   }
-  // The tallies are the range checks: one row per complete-tree level
-  // (phase 1) or frontier (phase 2), one slot per node. level - 1 wraps
-  // for level 0.
-  const uint32_t slot = report.level - 1;
-  if (slot >= counts->size() || report.node >= (*counts)[slot].size()) {
-    return false;
-  }
-  ++(*counts)[slot][report.node];
-  ++(report.phase == 1 ? phase1_reports_ : phase2_reports_);
-  return true;
 }
 
 std::vector<uint8_t> AheadServer::BuildTree() {
-  if (tree_.has_value()) return tree_message_;
-  // Debias each complete-tree level's GRR tallies, then smooth with the
-  // Section 4.5 constrained inference (the same embedded-HH_B shape the
-  // in-process mechanism uses for phase 1).
-  std::vector<std::vector<double>> estimates(shape_.height() + 1);
-  estimates[0] = {1.0};
-  for (uint32_t l = 1; l <= shape_.height(); ++l) {
-    const std::vector<uint64_t>& counts = phase1_counts_[l - 1];
-    uint64_t n_l = 0;
-    for (uint64_t c : counts) n_l += c;
-    estimates[l] = GrrDebias(counts, n_l, eps_);
+  if (!tree_built()) {
+    // The split threshold needs the phase-2 population, which the server
+    // cannot know before broadcasting the tree: it assumes the deployment
+    // sends phases of comparable size (threshold_scale is the tuning knob
+    // when that is off). GRR's phase-1 decode draws no randomness.
+    Rng unused;
+    AdoptTree(ahead().BuildTree(phase1_reports(), unused));
   }
-  EnforceHierarchicalConsistency(estimates, shape_.fanout());
-  // Same criterion as AheadMechanism::Finalize: split while the node's
-  // mass clears the phase-2 noise floor. The server cannot know the
-  // phase-2 population before broadcasting the tree, so it assumes the
-  // deployment sends phases of comparable size (threshold_scale is the
-  // tuning knob when that is off); the oracle-shared bound V_F stands in
-  // for the frontier-size-dependent GRR variance.
-  double phase2_level_reports = std::max(
-      1.0, static_cast<double>(phase1_reports_) / max_depth_);
-  double theta = config_.threshold_scale * 2.0 *
-                 std::sqrt(OracleVariance(eps_, phase2_level_reports));
-  bool no_signal = phase1_reports_ == 0;
-  auto should_split = [&](const TreeNode& n) {
-    if (config_.threshold_scale <= 0.0 || no_signal) return true;
-    return estimates[n.level][n.index] > theta;
-  };
-  tree_ = AdaptiveTree::Grow(shape_, max_depth_, should_split);
-  level_counts_.clear();
-  for (uint32_t l = 1; l <= tree_->num_levels(); ++l) {
-    level_counts_.emplace_back(tree_->FrontierSize(l), 0);
+  return TreeMessage();
+}
+
+std::vector<uint8_t> AheadServer::TreeMessage() const {
+  return SerializeAheadTree(shape().domain(), shape().fanout(), tree());
+}
+
+std::optional<AdaptiveTree> AheadServer::ParseOwnTree(
+    std::span<const uint8_t> bytes) const {
+  uint64_t domain = 0;
+  uint64_t fanout = 0;
+  std::optional<AdaptiveTree> tree;
+  if (ParseAheadTree(bytes, &domain, &fanout, &tree) != ParseError::kOk ||
+      domain != shape().domain() || fanout != shape().fanout()) {
+    return std::nullopt;
   }
-  tree_message_ =
-      SerializeAheadTree(shape_.domain(), shape_.fanout(), *tree_);
-  return tree_message_;
+  return tree;
+}
+
+void AheadServer::AdoptTree(AdaptiveTree tree) {
+  mutable_ahead().InstallTree(std::move(tree));
+  for (uint32_t l = 1; l <= this->tree().num_levels(); ++l) {
+    frontier_.push_back(AsGrr(mutable_ahead().frontier_oracle(l)));
+  }
 }
 
 bool AheadServer::InstallTree(std::span<const uint8_t> bytes) {
   if (finalized_) return false;
-  uint64_t domain = 0;
-  uint64_t fanout = 0;
-  std::optional<AdaptiveTree> tree;
-  if (ParseAheadTree(bytes, &domain, &fanout, &tree) != ParseError::kOk) {
-    return false;
-  }
-  if (domain != shape_.domain() || fanout != shape_.fanout()) return false;
-  // Re-serialize so tree_message_ is always the canonical BFS form
-  // regardless of how the incoming bytes ordered their splits — merged
-  // shards compare trees by these bytes.
-  std::vector<uint8_t> canonical = SerializeAheadTree(domain, fanout, *tree);
-  if (tree_.has_value()) return canonical == tree_message_;
-  tree_ = std::move(tree);
-  tree_message_ = std::move(canonical);
-  level_counts_.clear();
-  for (uint32_t l = 1; l <= tree_->num_levels(); ++l) {
-    level_counts_.emplace_back(tree_->FrontierSize(l), 0);
-  }
+  std::optional<AdaptiveTree> tree = ParseOwnTree(bytes);
+  if (!tree.has_value()) return false;
+  // SplitNodes is the canonical form, whatever order the incoming bytes
+  // gave their splits.
+  if (tree_built()) return tree->SplitNodes() == this->tree().SplitNodes();
+  AdoptTree(std::move(*tree));
   return true;
 }
 
@@ -270,18 +242,14 @@ void AheadServer::AppendStateBody(std::vector<uint8_t>& out) const {
   // [per complete level: NodesAtLevel(l) x count u64]
   // [tree u8][tree? length-prefixed kAheadTree bytes
   //           + per frontier level: FrontierSize(l) x count u64]
-  AppendVarU64(out, phase1_reports_);
-  AppendVarU64(out, phase2_reports_);
-  AppendVarU64(out, shape_.height());
-  for (const std::vector<uint64_t>& level : phase1_counts_) {
-    for (uint64_t c : level) AppendU64(out, c);
-  }
-  AppendU8(out, tree_.has_value() ? 1 : 0);
-  if (tree_.has_value()) {
-    AppendLengthPrefixedBytes(out, tree_message_);
-    for (const std::vector<uint64_t>& level : level_counts_) {
-      for (uint64_t c : level) AppendU64(out, c);
-    }
+  AppendVarU64(out, phase1_reports());
+  AppendVarU64(out, phase2_reports());
+  AppendVarU64(out, shape().height());
+  for (const GrrOracle* level : phase1_) level->AppendState(out);
+  AppendU8(out, tree_built() ? 1 : 0);
+  if (tree_built()) {
+    AppendLengthPrefixedBytes(out, TreeMessage());
+    for (const GrrOracle* level : frontier_) level->AppendState(out);
   }
 }
 
@@ -295,62 +263,37 @@ bool AheadServer::RestoreStateBody(std::span<const uint8_t> body) {
     return false;
   }
   // Cross-check against this server's own shape, never an allocation size.
-  if (height != shape_.height()) return false;
-  for (std::vector<uint64_t>& level : phase1_counts_) {
-    for (uint64_t& c : level) {
-      uint64_t v = 0;
-      if (!reader.ReadU64(&v)) return false;
-      c = v;
-    }
+  if (height != shape().height()) return false;
+  for (GrrOracle* level : phase1_) {
+    if (!level->RestoreState(reader)) return false;
   }
   uint8_t has_tree = 0;
-  if (!reader.ReadU8(&has_tree)) return false;
-  if (has_tree > 1) return false;
-  // A tree-less server cannot have absorbed phase-2 reports.
-  if (has_tree == 0 && p2 != 0) return false;
+  if (!reader.ReadU8(&has_tree) || has_tree > 1) return false;
   if (has_tree == 1) {
     std::span<const uint8_t> tree_bytes;
     if (!reader.ReadLengthPrefixedBytes(&tree_bytes)) return false;
-    uint64_t domain = 0;
-    uint64_t fanout = 0;
-    std::optional<AdaptiveTree> tree;
-    if (ParseAheadTree(tree_bytes, &domain, &fanout, &tree) !=
-        ParseError::kOk) {
-      return false;
-    }
-    if (domain != shape_.domain() || fanout != shape_.fanout()) return false;
-    // Canonical-form check: the embedded bytes must equal the tree's BFS
-    // re-serialization, so restored state re-serializes identically and
-    // merges compare trees by bytes.
-    std::vector<uint8_t> canonical = SerializeAheadTree(domain, fanout, *tree);
-    if (canonical.size() != tree_bytes.size() ||
-        !std::equal(canonical.begin(), canonical.end(), tree_bytes.begin())) {
-      return false;
-    }
-    tree_ = std::move(tree);
-    tree_message_ = std::move(canonical);
+    std::optional<AdaptiveTree> tree = ParseOwnTree(tree_bytes);
+    if (!tree.has_value()) return false;
     // Frontier sizes come from the parsed tree, whose node count
     // ParseAheadTree capped (kMaxAheadTreeNodes).
-    level_counts_.clear();
-    for (uint32_t l = 1; l <= tree_->num_levels(); ++l) {
-      level_counts_.emplace_back(tree_->FrontierSize(l), 0);
-    }
-    for (std::vector<uint64_t>& level : level_counts_) {
-      for (uint64_t& c : level) {
-        uint64_t v = 0;
-        if (!reader.ReadU64(&v)) return false;
-        c = v;
-      }
+    AdoptTree(std::move(*tree));
+    // Canonical-form check: the embedded bytes must equal the tree's BFS
+    // re-serialization, so restored state re-serializes identically.
+    if (!std::ranges::equal(TreeMessage(), tree_bytes)) return false;
+    for (GrrOracle* level : frontier_) {
+      if (!level->RestoreState(reader)) return false;
     }
   }
-  phase1_reports_ = p1;
-  phase2_reports_ = p2;
-  return reader.AtEnd();
+  // The totals must be the tallies' sums: p1 sets the split threshold,
+  // so a forged one would change the tree every shard encodes against. A
+  // tree-less body has no phase-2 tallies, so its p2 must be 0.
+  return reader.AtEnd() && TotalReports(phase1_) == p1 &&
+         TotalReports(frontier_) == p2;
 }
 
 std::unique_ptr<service::AggregatorServer> AheadServer::DoCloneEmpty() const {
-  return std::make_unique<AheadServer>(shape_.domain(), shape_.fanout(), eps_,
-                                       config_);
+  return std::unique_ptr<AheadServer>(
+      new AheadServer(mechanism().CloneEmpty()));
 }
 
 service::MergeStatus AheadServer::DoMergeFrom(
@@ -358,79 +301,30 @@ service::MergeStatus AheadServer::DoMergeFrom(
   auto& o = static_cast<AheadServer&>(other);
   // Post-processing knobs are not aggregate state, but merged shards must
   // agree on how the combined aggregate will be finalized.
-  if (o.config_.threshold_scale != config_.threshold_scale ||
-      o.max_depth_ != max_depth_ ||
-      o.config_.consistency != config_.consistency ||
-      o.config_.nonnegativity != config_.nonnegativity) {
+  const AheadConfig& mine = ahead().config();
+  const AheadConfig& theirs = o.ahead().config();
+  if (theirs.threshold_scale != mine.threshold_scale ||
+      o.ahead().max_depth() != ahead().max_depth() ||
+      theirs.consistency != mine.consistency ||
+      theirs.nonnegativity != mine.nonnegativity) {
     return service::MergeStatus::kConfigMismatch;
   }
-  if (tree_.has_value() && o.tree_.has_value()) {
-    // Phase-2 reports are encoded against one specific decomposition;
-    // counts over two different trees can never be summed.
-    if (tree_message_ != o.tree_message_) {
+  // Phase-2 reports are encoded against one specific decomposition;
+  // counts over two different trees can never be summed. A side that
+  // never closed phase 1 adopts the shard's tree.
+  if (o.tree_built()) {
+    if (!tree_built()) {
+      AdoptTree(o.tree());
+    } else if (tree().SplitNodes() != o.tree().SplitNodes()) {
       return service::MergeStatus::kStateMismatch;
     }
-    for (size_t l = 0; l < level_counts_.size(); ++l) {
-      for (size_t j = 0; j < level_counts_[l].size(); ++j) {
-        level_counts_[l][j] += o.level_counts_[l][j];
-      }
-    }
-  } else if (o.tree_.has_value()) {
-    // This side never closed phase 1: adopt the shard's tree and frontier
-    // counts wholesale (consumes the source, per the merge contract).
-    tree_ = std::move(o.tree_);
-    tree_message_ = std::move(o.tree_message_);
-    level_counts_ = std::move(o.level_counts_);
   }
-  for (size_t l = 0; l < phase1_counts_.size(); ++l) {
-    for (size_t j = 0; j < phase1_counts_[l].size(); ++j) {
-      phase1_counts_[l][j] += o.phase1_counts_[l][j];
-    }
-  }
-  phase1_reports_ += o.phase1_reports_;
-  phase2_reports_ += o.phase2_reports_;
-  return service::MergeStatus::kOk;
+  return MechanismServer::DoMergeFrom(other);
 }
 
 void AheadServer::DoFinalize() {
-  if (!tree_.has_value()) BuildTree();
-  const uint32_t num_levels = tree_->num_levels();
-  std::vector<std::vector<double>> level_estimates(num_levels);
-  std::vector<double> level_vars(num_levels, kInf);
-  for (uint32_t l = 0; l < num_levels; ++l) {
-    uint64_t n_l = 0;
-    for (uint64_t c : level_counts_[l]) n_l += c;
-    level_estimates[l] = GrrDebias(level_counts_[l], n_l, eps_);
-    level_vars[l] =
-        GrrLowFrequencyVariance(level_counts_[l].size(), eps_, n_l);
-  }
-  CombineFrontierEstimates(*tree_, level_estimates, level_vars,
-                           &node_values_, &node_variances_);
-  std::vector<int64_t> parents = tree_->ParentIndices();
-  if (config_.consistency) {
-    EnforceAdaptiveConsistency(parents, node_values_, node_variances_,
-                               /*root_pin=*/1.0);
-  }
-  if (config_.nonnegativity) {
-    NonNegativeRescaleTopDown(parents, node_values_);
-  }
-}
-
-double AheadServer::RangeQuery(uint64_t a, uint64_t b) const {
-  return RangeQueryWithUncertainty(a, b).value;
-}
-
-RangeEstimate AheadServer::RangeQueryWithUncertainty(uint64_t a,
-                                                     uint64_t b) const {
-  LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, shape_.domain());
-  return AdaptiveRangeEstimate(*tree_, node_values_, node_variances_, a, b);
-}
-
-std::vector<double> AheadServer::EstimateFrequencies() const {
-  LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  return AdaptiveLeafFrequencies(*tree_, node_values_, shape_.domain());
+  if (!tree_built()) BuildTree();
+  MechanismServer::DoFinalize();
 }
 
 }  // namespace ldp::protocol

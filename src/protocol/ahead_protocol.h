@@ -22,6 +22,12 @@
 //      inverse variance, runs the irregular-tree constrained inference,
 //      and serves range / frequency / quantile queries.
 //
+// The server is a wire adapter (mechanism_server.h) over one
+// AheadMechanism (core/ahead.h) configured with GRR oracles: every
+// tally, estimate and step of 2 and 4 is the mechanism's, so a served
+// answer is bit-identical to that mechanism fed the same reports. The
+// server adds the report check, the kAheadTree codec and the state body.
+//
 // GRR is the inner oracle on the wire: its report *is* a single node id,
 // which keeps every AHEAD report a fixed 10-byte item (AheadLayout, framed
 // by the shared report codec, report_codec.h); the in-process simulation
@@ -40,12 +46,16 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/random.h"
 #include "core/ahead.h"
 #include "core/badic.h"
+#include "frequency/grr.h"
 #include "protocol/envelope.h"
+#include "protocol/mechanism_server.h"
 #include "protocol/report_codec.h"
 #include "protocol/wire.h"
 
@@ -154,22 +164,22 @@ struct AheadServerConfig {
   bool nonnegativity = true;
 };
 
-/// Server-side aggregator: phase-1 per-level GRR histograms ->
-/// BuildTree() -> phase-2 per-frontier GRR aggregation -> Finalize() ->
-/// queries. Serialized ingestion and its accounting come from
-/// ReportServer (Absorb counts one report, a batch adds its totals once
-/// per message); finalize discipline and quantile search from
-/// service::AggregatorServer.
-class AheadServer final : public ReportServer<AheadServer, AheadLayout> {
+/// Server-side aggregator: phase-1 reports into the mechanism's
+/// complete-tree GRR oracles -> BuildTree() -> phase-2 reports into its
+/// frontier GRR oracles -> Finalize() -> queries. Serialized ingestion
+/// and its accounting come from ReportServer (Absorb counts one report, a
+/// batch adds its totals once per message); finalize discipline and
+/// quantile search from service::AggregatorServer.
+class AheadServer final
+    : public ReportServer<AheadServer, AheadLayout, MechanismServer> {
  public:
   AheadServer(uint64_t domain, uint64_t fanout, double eps,
               const AheadServerConfig& config = {});
 
   std::string Name() const override { return "Ahead"; }
-  const TreeShape& shape() const { return shape_; }
-  uint64_t domain() const override { return shape_.domain(); }
-  bool tree_built() const { return tree_.has_value(); }
-  const AdaptiveTree& tree() const;
+  const TreeShape& shape() const { return ahead().shape(); }
+  bool tree_built() const { return ahead().has_tree(); }
+  const AdaptiveTree& tree() const { return ahead().tree(); }
 
   /// Ends phase 1: derives the adaptive tree from the debiased coarse
   /// histogram and returns the serialized kAheadTree broadcast. Idempotent
@@ -185,50 +195,69 @@ class AheadServer final : public ReportServer<AheadServer, AheadLayout> {
   /// the identical tree is already installed. Must precede Finalize.
   bool InstallTree(std::span<const uint8_t> bytes);
 
-  uint64_t phase1_reports() const { return phase1_reports_; }
-  uint64_t phase2_reports() const { return phase2_reports_; }
-
-  double RangeQuery(uint64_t a, uint64_t b) const override;
-  /// The exact per-node variance accounting of the adaptive estimate
-  /// (not a worst-case envelope — AHEAD tracks its node variances).
-  RangeEstimate RangeQueryWithUncertainty(uint64_t a,
-                                          uint64_t b) const override;
-  std::vector<double> EstimateFrequencies() const override;
+  uint64_t phase1_reports() const { return ahead().phase1_user_count(); }
+  uint64_t phase2_reports() const { return ahead().phase2_user_count(); }
 
  private:
   friend ReportServer;
 
-  /// Checks and folds one report (ReportServer counts it): false on a
-  /// phase that does not match the current era — phase 2 before
-  /// BuildTree, phase 1 after — or an out-of-range level or node id.
-  bool Accept(const AheadWireReport& report);
+  explicit AheadServer(std::unique_ptr<RangeMechanism> mechanism);
 
-  /// Builds the tree if phase 1 was never closed, then debiases and
-  /// post-processes.
+  const AheadMechanism& ahead() const {
+    return static_cast<const AheadMechanism&>(mechanism());
+  }
+  AheadMechanism& mutable_ahead() {
+    return static_cast<AheadMechanism&>(mutable_mechanism());
+  }
+
+  /// Checks and folds one report (ReportServer counts it): false on a
+  /// phase that does not match the current era — phase 2 before the
+  /// tree, phase 1 after — or an out-of-range level or node id.
+  bool Accept(const AheadWireReport& report) {
+    LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+    // Phase-1 reports after the tree broadcast are stale: accepting them
+    // would let a client influence a decomposition other clients already
+    // encode against. Phase-2 reports before it have no frontier yet.
+    const bool phase2 = !frontier_.empty();
+    if (report.phase != (phase2 ? 2 : 1)) return false;
+    // The oracle domains are the range checks: one oracle per
+    // complete-tree level (phase 1) or frontier (phase 2), one tally per
+    // node. level - 1 wraps for level 0.
+    const std::vector<GrrOracle*>& levels = phase2 ? frontier_ : phase1_;
+    const uint32_t slot = report.level - 1;
+    if (slot >= levels.size() ||
+        report.node >= levels[slot]->domain_size()) {
+      return false;
+    }
+    levels[slot]->AbsorbReport(report.node);
+    return true;
+  }
+
+  /// The installed tree's canonical kAheadTree broadcast.
+  std::vector<uint8_t> TreeMessage() const;
+  /// Parses a kAheadTree message for this server's domain and fanout.
+  std::optional<AdaptiveTree> ParseOwnTree(
+      std::span<const uint8_t> bytes) const;
+  /// Installs `tree` into the mechanism and views its frontier oracles.
+  void AdoptTree(AdaptiveTree tree);
+
+  /// Builds the tree if phase 1 was never closed, then finalizes the
+  /// mechanism.
   void DoFinalize() override;
   service::StateKind state_kind() const override {
     return service::StateKind::kAhead;
   }
-  uint64_t state_fanout() const override { return shape_.fanout(); }
-  double state_epsilon() const override { return eps_; }
+  uint64_t state_fanout() const override { return shape().fanout(); }
   void AppendStateBody(std::vector<uint8_t>& out) const override;
   bool RestoreStateBody(std::span<const uint8_t> body) override;
   std::unique_ptr<service::AggregatorServer> DoCloneEmpty() const override;
   service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
 
-  TreeShape shape_;
-  double eps_;
-  AheadServerConfig config_;
-  uint32_t max_depth_;
-  // phase1_counts_[l-1] = GRR tallies over complete-tree level l.
-  std::vector<std::vector<uint64_t>> phase1_counts_;
-  std::vector<std::vector<uint64_t>> level_counts_;  // per frontier level
-  std::optional<AdaptiveTree> tree_;
-  std::vector<uint8_t> tree_message_;
-  uint64_t phase1_reports_ = 0;
-  uint64_t phase2_reports_ = 0;
-  std::vector<double> node_values_;
-  std::vector<double> node_variances_;
+  // Views of the mechanism's GRR oracles: phase1_[l-1] behind
+  // complete-tree level l, frontier_[l-1] behind frontier level l (empty
+  // until the tree exists).
+  std::vector<GrrOracle*> phase1_;
+  std::vector<GrrOracle*> frontier_;
 };
 
 }  // namespace ldp::protocol

@@ -6,33 +6,13 @@ namespace ldp::protocol {
 
 HrrMechanismServer::HrrMechanismServer(
     std::unique_ptr<RangeMechanism> mechanism, bool level_count_in_state)
-    : mechanism_(std::move(mechanism)),
+    : MechanismServer(std::move(mechanism)),
       level_count_in_state_(level_count_in_state) {}
 
 void HrrMechanismServer::AddLevel(FrequencyOracle& oracle) {
   auto* hrr = dynamic_cast<HrrOracle*>(&oracle);
   LDP_CHECK_MSG(hrr != nullptr, "HRR servers need HRR level oracles");
   levels_.push_back(hrr);
-}
-
-double HrrMechanismServer::RangeQuery(uint64_t a, uint64_t b) const {
-  return mechanism_->RangeQuery(a, b);
-}
-
-RangeEstimate HrrMechanismServer::RangeQueryWithUncertainty(uint64_t a,
-                                                            uint64_t b) const {
-  return mechanism_->RangeQueryWithUncertainty(a, b);
-}
-
-std::vector<double> HrrMechanismServer::EstimateFrequencies() const {
-  return mechanism_->EstimateFrequencies();
-}
-
-void HrrMechanismServer::DoFinalize() {
-  // HRR's finalize draws no randomness; the mechanism API still takes an
-  // Rng.
-  Rng unused;
-  mechanism_->Finalize(unused);
 }
 
 void HrrMechanismServer::AppendStateBody(std::vector<uint8_t>& out) const {
@@ -57,15 +37,6 @@ bool HrrMechanismServer::RestoreStateBody(std::span<const uint8_t> body) {
     if (!oracle->RestoreState(reader)) return false;
   }
   return reader.AtEnd();
-}
-
-service::MergeStatus HrrMechanismServer::DoMergeFrom(
-    service::AggregatorServer& other) {
-  // The base validated kind + configuration, and each kind names exactly
-  // one subclass, so the downcast is safe.
-  auto& o = static_cast<HrrMechanismServer&>(other);
-  mechanism_->MergeFrom(*o.mechanism_);
-  return service::MergeStatus::kOk;
 }
 
 }  // namespace ldp::protocol

@@ -1,14 +1,8 @@
 // The server side shared by the three HRR wire protocols (flat, tree,
-// Haar): a wire adapter over the core mechanism of each paper
-// decomposition.
-//
-// A server owns the in-process mechanism (FlatMechanism,
-// HierarchicalMechanism or HaarHrrMechanism, all over HRR) and adds only
-// what the wire needs: checking decoded reports before they reach the
-// mechanism's level oracles, and the state-snapshot body codec. Finalize,
-// queries, uncertainty, clone and merge are the mechanism's own — so a
-// served answer, stddev included, is bit-identical to the in-process
-// mechanism fed the same reports.
+// Haar): a wire adapter (mechanism_server.h) over the core mechanism of
+// each paper decomposition — FlatMechanism, HierarchicalMechanism or
+// HaarHrrMechanism, all over HRR. It adds the report check against the
+// mechanism's level oracles and the state-snapshot body codec.
 //
 // The report check (AcceptLevel) is the per-report body of the batch
 // absorb kernel in report_codec.h. It has no branch on the report's
@@ -28,25 +22,17 @@
 #include "core/range_mechanism.h"
 #include "frequency/hrr.h"
 #include "protocol/level_hrr.h"
+#include "protocol/mechanism_server.h"
 #include "protocol/report_codec.h"
-#include "service/aggregator_server.h"
 
 namespace ldp::protocol {
 
-/// An AggregatorServer whose aggregate is one core RangeMechanism with
-/// HRR level oracles.
-class HrrMechanismServer : public service::AggregatorServer {
- public:
-  uint64_t domain() const override { return mechanism_->domain_size(); }
-
-  double RangeQuery(uint64_t a, uint64_t b) const override;
-  /// The mechanism's per-node variance accounting: HRR's exact per-item
-  /// variance summed over the nodes (tree), coefficients (Haar) or items
-  /// (flat) the range uses — +inf when a level it uses has no reports.
-  RangeEstimate RangeQueryWithUncertainty(uint64_t a,
-                                          uint64_t b) const override;
-  std::vector<double> EstimateFrequencies() const override;
-
+/// A MechanismServer whose mechanism has HRR level oracles. Its
+/// uncertainty is the mechanism's per-node variance accounting: HRR's
+/// exact per-item variance summed over the nodes (tree), coefficients
+/// (Haar) or items (flat) the range uses — +inf when a level it uses has
+/// no reports.
+class HrrMechanismServer : public MechanismServer {
  protected:
   /// Takes `mechanism`; the subclass constructor then registers its HRR
   /// oracles with AddLevel, level 1 first. `level_count_in_state`
@@ -76,18 +62,10 @@ class HrrMechanismServer : public service::AggregatorServer {
     return true;
   }
 
-  /// The core mechanism this server aggregates into.
-  const RangeMechanism& mechanism() const { return *mechanism_; }
-  RangeMechanism& mutable_mechanism() { return *mechanism_; }
-
-  void DoFinalize() override;
-  double state_epsilon() const override { return mechanism_->epsilon(); }
   void AppendStateBody(std::vector<uint8_t>& out) const override;
   bool RestoreStateBody(std::span<const uint8_t> body) override;
-  service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
 
  private:
-  std::unique_ptr<RangeMechanism> mechanism_;
   // levels_[l-1] views the mechanism's level-l oracle.
   std::vector<HrrOracle*> levels_;
   bool level_count_in_state_;

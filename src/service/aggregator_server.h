@@ -6,9 +6,12 @@
 // copy-alike siblings (FlatHrrServer, HaarHrrServer, TreeHrrServer,
 // AheadServer). Everything a deployment routes by — serialized ingestion,
 // accept/reject accounting, finalize-once discipline,
-// range/frequency/quantile queries — lives here; subclasses only supply
-// the mechanism-specific decode + aggregate + estimate math (the report
-// servers get their decode from protocol/report_codec.h's ReportServer).
+// range/frequency/quantile queries — lives here. Every subclass is a
+// wire adapter over one core estimator (the 1-D servers through
+// protocol/mechanism_server.h, the grid over HierarchicalGrid): it
+// checks decoded reports and owns the state-snapshot body, and the
+// estimate math is the core's (decode comes from
+// protocol/report_codec.h's ReportServer).
 //
 // The streaming service (service/aggregator_service.h) hosts any number
 // of AggregatorServer instances and drives them entirely through this

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <span>
@@ -294,6 +295,117 @@ TEST(AheadWire, TwoPhaseExchangeRecoversTheDistribution) {
   double cdf = std::accumulate(truth.begin(), truth.begin() + median + 1,
                                0.0);
   EXPECT_NEAR(cdf, 0.5, 0.15);
+}
+
+// FNV-1a over the bit patterns of `values`: a bit-for-bit digest.
+uint64_t BitDigest(std::span<const double> values) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (double v : values) {
+    uint64_t bits = std::bit_cast<uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((bits >> (8 * i)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Served answers pinned bit for bit at fixed seeds: the value and stddev
+// of two ranges, plus digests of (value, stddev) over every range and of
+// EstimateFrequencies.
+struct ServedPin {
+  const char* name;
+  AheadServerConfig config;
+  bool drop_level2;  // no phase-2 report reaches frontier level 2
+  double short_value, short_stddev;  // [3, 9]
+  double long_value, long_stddev;    // [10, 50]
+  uint64_t ranges_digest;
+  uint64_t frequencies_digest;
+};
+
+TEST(AheadWire, ServedAnswersArePinned) {
+  const uint64_t d = 64;
+  const double eps = 1.0;
+  ZipfDistribution dist(d, 1.2);
+  Rng vrng(2024);
+  std::vector<uint64_t> values(12000);
+  for (uint64_t& v : values) v = dist.Sample(vrng);
+  const size_t n1 = 4000;
+
+  AheadServerConfig no_consistency;
+  no_consistency.consistency = false;
+  AheadServerConfig no_nonnegativity;
+  no_nonnegativity.nonnegativity = false;
+  AheadServerConfig full_split;
+  full_split.threshold_scale = 0.0;
+  AheadServerConfig capped;
+  capped.max_depth = 2;
+  capped.threshold_scale = 0.25;
+  const std::vector<ServedPin> pins = {
+      {"default", {}, false,
+       0x1.ec50b7186805bp-3, 0x1.0092f702e6b87p-4,
+       0x1.d7cf88a34770ep-3, 0x1.6e49ca99bf86fp-5,
+       0xfb2fa3a284fc2988ULL, 0xfe3bd4d7abb3f610ULL},
+      {"no_consistency", no_consistency, false,
+       0x1.f3fa5f1301926p-3, 0x1.06386b48ccf73p-4,
+       0x1.cd25b4e149d54p-3, 0x1.7549d10ad0896p-5,
+       0x1c59e7717d411083ULL, 0x23e3d4bd12e7d8f5ULL},
+      {"no_nonnegativity", no_nonnegativity, false,
+       0x1.f640f624c8d64p-3, 0x1.0092f702e6b87p-4,
+       0x1.b9e12e65e3bd2p-3, 0x1.6e49ca99bf86fp-5,
+       0x637c198888b39949ULL, 0xdf646964ed1ed5cfULL},
+      {"full_split", full_split, false,
+       0x1.d7486585240aap-3, 0x1.4c8d5f31531e5p-3,
+       0x1.6323610f22f61p-3, 0x1.ac2f158a4997ap-3,
+       0xdddd6a40578a9c62ULL, 0xb14c60579a8321b3ULL},
+      {"max_depth_2", capped, false,
+       0x1.52903187fbe45p-2, 0x1.3ff19b642e76cp-5,
+       0x1.c74e624d623c9p-3, 0x1.af41c335ac98fp-5,
+       0xa7cf4f56a4ce30bbULL, 0xabcbbc2d83527385ULL},
+      {"empty_level_2", full_split, true,
+       0x1.2d00124a18a69p-2, 0x1.e8215bc263c2fp-3,
+       0x1.8b330128c9cb2p-3, 0x1.16fdc6150d744p-2,
+       0x79a0633579b62300ULL, 0x6911285cf0b34975ULL},
+  };
+  for (const ServedPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    AheadServer server(d, 4, eps, pin.config);
+    AheadClient client(d, 4, eps);
+    Rng rng(77);
+    for (size_t i = 0; i < n1; ++i) {
+      ASSERT_TRUE(server.Absorb(client.EncodePhase1(values[i], rng)));
+    }
+    ASSERT_TRUE(client.AbsorbTreeDescription(server.BuildTree()));
+    for (size_t i = n1; i < values.size(); ++i) {
+      AheadWireReport report = client.EncodePhase2(values[i], rng);
+      if (pin.drop_level2 && report.level == 2) continue;
+      ASSERT_TRUE(server.Absorb(report));
+    }
+    server.Finalize();
+
+    std::vector<double> answers;
+    for (uint64_t a = 0; a < d; ++a) {
+      for (uint64_t b = a; b < d; ++b) {
+        RangeEstimate est = server.RangeQueryWithUncertainty(a, b);
+        answers.push_back(est.value);
+        answers.push_back(est.stddev);
+      }
+    }
+    RangeEstimate short_range = server.RangeQueryWithUncertainty(3, 9);
+    RangeEstimate long_range = server.RangeQueryWithUncertainty(10, 50);
+    const uint64_t ranges_digest = BitDigest(answers);
+    const uint64_t frequencies_digest =
+        BitDigest(server.EstimateFrequencies());
+    EXPECT_EQ(std::bit_cast<uint64_t>(short_range.value),
+              std::bit_cast<uint64_t>(pin.short_value));
+    EXPECT_EQ(std::bit_cast<uint64_t>(short_range.stddev),
+              std::bit_cast<uint64_t>(pin.short_stddev));
+    EXPECT_EQ(std::bit_cast<uint64_t>(long_range.value),
+              std::bit_cast<uint64_t>(pin.long_value));
+    EXPECT_EQ(std::bit_cast<uint64_t>(long_range.stddev),
+              std::bit_cast<uint64_t>(pin.long_stddev));
+    EXPECT_EQ(ranges_digest, pin.ranges_digest);
+    EXPECT_EQ(frequencies_digest, pin.frequencies_digest);
+  }
 }
 
 TEST(AheadWire, FinalizeWithoutReportsStaysFinite) {

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -314,6 +316,78 @@ TEST(Ahead, MergeFromRejectsIncompatibleMechanisms) {
   HierarchicalConfig hh_config;
   HierarchicalMechanism hh(64, 1.0, hh_config);
   EXPECT_DEATH(a.MergeFrom(hh), "AheadMechanism");
+}
+
+// --- Pinned answers -------------------------------------------------------
+
+// FNV-1a over the bit patterns of `values`: a bit-for-bit digest.
+uint64_t BitDigest(std::span<const double> values) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (double v : values) {
+    uint64_t bits = std::bit_cast<uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((bits >> (8 * i)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Ahead, InProcessAnswersArePinned) {
+  // In-process answers at fixed seeds, bit for bit: AHEAD4 (OUE
+  // simulated, the path the section 5 simulation runs) and AHEAD4-GRR.
+  struct Pin {
+    OracleKind oracle;
+    double short_value, short_stddev;  // [5, 40]
+    double long_value, long_stddev;    // [100, 200]
+    uint64_t ranges_digest;
+    uint64_t frequencies_digest;
+  };
+  const uint64_t d = 256;
+  ZipfDistribution dist(d, 1.1);
+  std::vector<uint64_t> values = SampleValues(dist, 20000, 61);
+  const Pin pins[] = {
+      {OracleKind::kOueSimulated,
+       0x1.63ebb186f695cp-2, 0x1.09e4f41338963p-4,
+       0x1.31402d1647c5ap-4, 0x1.d04ddd58d4ac7p-5,
+       0x257390b4ff1ea485ULL, 0x468ad99da9c9c2efULL},
+      {OracleKind::kGrr,
+       0x1.18276f0b15795p-2, 0x1.8df864a3f74c3p-4,
+       0x1.8c914e59c7acbp-4, 0x1.201eb785ffe3bp-4,
+       0x0c824f946a98f863ULL, 0xd52ff6a532e61cb1ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(OracleKindName(pin.oracle));
+    AheadConfig config;
+    config.oracle = pin.oracle;
+    AheadMechanism mech(d, 1.0, config);
+    Rng rng(7);
+    mech.EncodeUsers(values, rng);
+    Rng fin(11);
+    mech.Finalize(fin);
+
+    std::vector<double> answers;
+    for (uint64_t a = 0; a < d; ++a) {
+      for (uint64_t b = a; b < d; ++b) {
+        RangeEstimate est = mech.RangeQueryWithUncertainty(a, b);
+        answers.push_back(est.value);
+        answers.push_back(est.stddev);
+      }
+    }
+    RangeEstimate short_range = mech.RangeQueryWithUncertainty(5, 40);
+    RangeEstimate long_range = mech.RangeQueryWithUncertainty(100, 200);
+    const uint64_t ranges_digest = BitDigest(answers);
+    const uint64_t frequencies_digest = BitDigest(mech.EstimateFrequencies());
+    EXPECT_EQ(std::bit_cast<uint64_t>(short_range.value),
+              std::bit_cast<uint64_t>(pin.short_value));
+    EXPECT_EQ(std::bit_cast<uint64_t>(short_range.stddev),
+              std::bit_cast<uint64_t>(pin.short_stddev));
+    EXPECT_EQ(std::bit_cast<uint64_t>(long_range.value),
+              std::bit_cast<uint64_t>(pin.long_value));
+    EXPECT_EQ(std::bit_cast<uint64_t>(long_range.stddev),
+              std::bit_cast<uint64_t>(pin.long_stddev));
+    EXPECT_EQ(ranges_digest, pin.ranges_digest);
+    EXPECT_EQ(frequencies_digest, pin.frequencies_digest);
+  }
 }
 
 // --- Integration ----------------------------------------------------------

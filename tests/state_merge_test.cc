@@ -344,6 +344,61 @@ TEST(StateSnapshot, AheadTwoDifferentTreesRefuseToMerge) {
             MergeStatus::kStateMismatch);
 }
 
+TEST(StateSnapshot, AheadTotalsMustEqualTheirTallies) {
+  // p1 sets the split threshold (and p1 = 0 forces a full split), so a
+  // shard that forged it would change the tree every shard encodes
+  // against. D = 64, fanout 4 and counts below 128 keep every header
+  // varint one byte: the body starts at offset 22 with [p1][p2][height],
+  // then the u64 phase-1 tallies (level 1 at 25, level 2 at 57).
+  protocol::AheadServer server(64, 4, kEps);
+  for (const protocol::AheadWireReport& report :
+       std::vector<protocol::AheadWireReport>{
+           {1, 1, 2}, {1, 2, 5}, {1, 3, 63}}) {
+    ASSERT_TRUE(server.Absorb(report));
+  }
+  const std::vector<uint8_t> phase1 = server.SerializeState();
+  server.BuildTree();
+  ASSERT_TRUE(server.Absorb(protocol::AheadWireReport{2, 1, 0}));
+  const std::vector<uint8_t> phase2 = server.SerializeState();
+  ASSERT_EQ(phase1[22], 3);  // p1
+  ASSERT_EQ(phase2[23], 1);  // p2
+
+  auto merge = [](std::vector<uint8_t> snapshot) {
+    protocol::AheadServer fresh(64, 4, kEps);
+    return fresh.MergeSerializedState(snapshot);
+  };
+  auto set_u64 = [](std::vector<uint8_t>& bytes, size_t at, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  };
+  EXPECT_EQ(merge(phase1), MergeStatus::kOk);
+  EXPECT_EQ(merge(phase2), MergeStatus::kOk);
+  for (uint8_t forged : {0, 2, 4, 100}) {
+    std::vector<uint8_t> bad = phase1;
+    bad[22] = forged;
+    EXPECT_EQ(merge(bad), MergeStatus::kMalformedSnapshot) << int{forged};
+  }
+  for (uint8_t forged : {0, 2}) {
+    std::vector<uint8_t> bad = phase2;
+    bad[23] = forged;
+    EXPECT_EQ(merge(bad), MergeStatus::kMalformedSnapshot) << int{forged};
+  }
+  // Tallies whose sum wraps uint64 — within one level, and across two —
+  // paired with the wrapped total.
+  const uint64_t half = uint64_t{1} << 63;
+  std::vector<uint8_t> wrap_level = phase1;
+  set_u64(wrap_level, 25 + 8 * 2, half);
+  set_u64(wrap_level, 25 + 8 * 3, half);
+  wrap_level[22] = 2;  // the two other reports, plus 2^64 wrapped to 0
+  EXPECT_EQ(merge(wrap_level), MergeStatus::kMalformedSnapshot);
+  std::vector<uint8_t> wrap_total = phase1;
+  set_u64(wrap_total, 25 + 8 * 2, half);
+  set_u64(wrap_total, 57 + 8 * 5, half);
+  wrap_total[22] = 1;
+  EXPECT_EQ(merge(wrap_total), MergeStatus::kMalformedSnapshot);
+}
+
 // --- The service merge plane, over serialized kStateMerge messages -----
 
 std::vector<uint8_t> MergePush(AggregatorService& svc, uint64_t merge_id,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/ahead.h"
@@ -238,6 +239,104 @@ TEST(WireGolden, V2AheadTreeLayoutIsPinned) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->num_levels(), 1u);
   EXPECT_EQ(back->FrontierSize(1), 4u);
+}
+
+// Appends `n` u64 LE tallies, zero except at the (slot, count) pairs.
+void AppendSparseTallies(std::vector<uint8_t>& out, size_t n,
+                         std::vector<std::pair<size_t, uint8_t>> nonzero) {
+  const size_t first = out.size();
+  out.resize(first + 8 * n, 0x00);
+  for (auto [slot, count] : nonzero) out[first + 8 * slot] = count;
+}
+
+TEST(WireGolden, V2AheadStateSnapshotIsPinned) {
+  // An AHEAD server's snapshot, body included, in both phase eras.
+  // D = 64, fanout 4 (complete-tree height 3: 4 + 16 + 64 = 84 phase-1
+  // tallies), eps 1.0: kind 4 | dims 1 | domain 0x40 | fanout 4 | eps |
+  // accepted | rejected | body. Body: [p1 varint][p2 varint][height
+  // varint][84 x u64 phase-1 tallies, level 1 first][tree u8][tree?
+  // (u32 length, kAheadTree bytes) + per frontier u64 tallies].
+  auto header = [](uint16_t payload_len, uint8_t accepted, uint8_t rejected) {
+    return std::vector<uint8_t>{
+        0x4C, 0x52, 0x02, 0x30,
+        static_cast<uint8_t>(payload_len), static_cast<uint8_t>(payload_len >> 8),
+        0x00, 0x00,
+        0x04, 0x01, 0x40, 0x04,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+        accepted, rejected};
+  };
+  const std::vector<std::pair<size_t, uint8_t>> phase1_tallies = {
+      {2, 2},            // level 1, node 2: two reports
+      {4 + 5, 1},        // level 2, node 5
+      {20 + 0, 1},       // level 3, node 0
+      {20 + 63, 1}};     // level 3, node 63
+
+  protocol::AheadServer server(64, 4, 1.0);
+  for (const protocol::AheadWireReport& report :
+       std::vector<protocol::AheadWireReport>{
+           {1, 1, 2}, {1, 2, 5}, {1, 3, 63}, {1, 1, 2}, {1, 3, 0},
+           {2, 1, 0}}) {  // phase 2 before the tree: rejected
+    server.Absorb(report);
+  }
+  // Phase-1 era: p1 5, p2 0, height 3, the tallies, no tree.
+  std::vector<uint8_t> phase1 = header(0x2B2, 5, 1);
+  phase1.insert(phase1.end(), {0x05, 0x00, 0x03});
+  AppendSparseTallies(phase1, 84, phase1_tallies);
+  phase1.push_back(0x00);
+  EXPECT_EQ(server.SerializeState(), phase1);
+
+  // Five phase-1 reports clear no split threshold: the tree splits only
+  // the root (the V2AheadTreeLayoutIsPinned message), one frontier of 4.
+  server.BuildTree();
+  ASSERT_EQ(server.tree().num_levels(), 1u);
+  for (const protocol::AheadWireReport& report :
+       std::vector<protocol::AheadWireReport>{
+           {2, 1, 3}, {2, 1, 0}, {1, 1, 0},  // stale phase 1: rejected
+           {2, 1, 3}}) {
+    server.Absorb(report);
+  }
+  std::vector<uint8_t> phase2 = header(0x2E3, 8, 2);
+  phase2.insert(phase2.end(), {0x05, 0x03, 0x03});
+  AppendSparseTallies(phase2, 84, phase1_tallies);
+  phase2.insert(phase2.end(), {0x01, 0x0D, 0x00, 0x00, 0x00,
+                               0x4C, 0x52, 0x02, 0x09, 0x05, 0x00, 0x00, 0x00,
+                               0x40, 0x04, 0x01, 0x00, 0x00});
+  AppendSparseTallies(phase2, 4, {{0, 1}, {3, 2}});
+  EXPECT_EQ(server.SerializeState(), phase2);
+
+  // An installed three-level tree (splits: root, (1, 0), (2, 1)); its
+  // frontiers hold 4, 7 and 10 elements.
+  TreeShape shape(64, 4);
+  AdaptiveTree tree = AdaptiveTree::Grow(shape, 0, [](const TreeNode& n) {
+    return (n.level == 1 && n.index == 0) || (n.level == 2 && n.index == 1);
+  });
+  protocol::AheadServer installed(64, 4, 1.0);
+  ASSERT_TRUE(installed.InstallTree(protocol::SerializeAheadTree(64, 4, tree)));
+  ASSERT_EQ(installed.tree().num_levels(), 3u);
+  for (const protocol::AheadWireReport& report :
+       std::vector<protocol::AheadWireReport>{
+           {2, 1, 1}, {2, 2, 6}, {2, 3, 9}, {2, 3, 0}}) {
+    installed.Absorb(report);
+  }
+  std::vector<uint8_t> three_levels = header(0x36F, 4, 0);
+  three_levels.insert(three_levels.end(), {0x00, 0x04, 0x03});
+  AppendSparseTallies(three_levels, 84, {});
+  three_levels.insert(three_levels.end(),
+                      {0x01, 0x11, 0x00, 0x00, 0x00,
+                       0x4C, 0x52, 0x02, 0x09, 0x09, 0x00, 0x00, 0x00,
+                       0x40, 0x04, 0x03, 0x00, 0x00, 0x01, 0x00, 0x02, 0x01});
+  AppendSparseTallies(three_levels, 4, {{1, 1}});
+  AppendSparseTallies(three_levels, 7, {{6, 1}});
+  AppendSparseTallies(three_levels, 10, {{0, 1}, {9, 1}});
+  EXPECT_EQ(installed.SerializeState(), three_levels);
+
+  // The pinned bytes restore and re-serialize canonically.
+  for (const std::vector<uint8_t>* pinned : {&phase1, &phase2, &three_levels}) {
+    protocol::AheadServer restored(64, 4, 1.0);
+    ASSERT_EQ(restored.MergeSerializedState(*pinned),
+              service::MergeStatus::kOk);
+    EXPECT_EQ(restored.SerializeState(), *pinned);
+  }
 }
 
 // A retired v1 capture can never be mistaken for v2: the v1 tag range
